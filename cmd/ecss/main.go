@@ -1,6 +1,8 @@
 // Command ecss runs the (5+eps)-approximation 2-ECSS algorithm of
 // Theorem 1.1 end to end on a generated instance and reports the solution,
-// its certificate, and the CONGEST round bill per phase.
+// its certificate, and the CONGEST round bill per phase as a tree: one row
+// per pipeline stage, with tap's epochs nested under it. The stage rows
+// sum to the total bill.
 //
 // Usage:
 //
@@ -79,7 +81,8 @@ func run() error {
 			math.Log2(float64(g.N))*math.Log2(float64(g.N))/(*eps)))
 	fmt.Println("phases:")
 	for _, ph := range net.Phases() {
-		fmt.Printf("  %-22s sim=%-8d charged=%-8d msgs=%d\n", ph.Name, ph.Simulated, ph.Charged, ph.Messages)
+		fmt.Printf("  %-24s sim=%-8d charged=%-8d msgs=%d\n",
+			strings.Repeat("  ", ph.Depth)+ph.Name, ph.Simulated, ph.Charged, ph.Messages)
 	}
 	return nil
 }

@@ -75,12 +75,22 @@ type Stats struct {
 // TotalRounds is the complete round bill.
 func (s Stats) TotalRounds() int64 { return s.SimulatedRounds + s.ChargedRounds }
 
-// PhaseSpan records the cost of one named phase for experiment reporting.
+// PhaseSpan records the cost of one named phase. Phases nest: Depth is the
+// number of phases that were open around it (0 for an outermost phase).
 type PhaseSpan struct {
 	Name      string
+	Depth     int
 	Simulated int64
 	Charged   int64
 	Messages  int64
+	Words     int64
+}
+
+// openPhase is a phase still on the stack: the index of its span and the
+// stats snapshot taken when it began.
+type openPhase struct {
+	span int
+	mark Stats
 }
 
 // Network wraps a graph with CONGEST cost accounting.
@@ -102,8 +112,7 @@ type Network struct {
 
 	stats   Stats
 	phases  []PhaseSpan
-	mark    Stats // stats snapshot at the start of the current phase
-	cur     string
+	open    []openPhase // stack of phases begun but not yet ended
 	sc      *scratch    // engine buffers, recycled across Run calls
 	pool    *pool       // persistent worker pool; see Close
 	running atomic.Bool // guards re-entrant/concurrent Run on shared scratch
@@ -134,39 +143,43 @@ func (n *Network) Close() {
 func (n *Network) Stats() Stats { return n.stats }
 
 // ResetAccounting zeroes the Network's cost accounting — stats, recorded
-// phase spans, and any open phase — while keeping the engine scratch and
-// the persistent worker pool warm. It exists for callers that reuse one
+// phase spans, and any phases left open — while keeping the engine scratch
+// and the persistent worker pool warm. It exists for callers that reuse one
 // Network across independent solves (the service layer's NetworkPool): each
 // solve then reports its own round and message bill as if the Network were
 // fresh. It must not be called concurrently with Run.
 func (n *Network) ResetAccounting() {
 	n.stats = Stats{}
-	n.mark = Stats{}
 	n.phases = n.phases[:0]
-	n.cur = ""
+	n.open = n.open[:0]
 }
 
-// Phases returns the per-phase accounting recorded via BeginPhase/EndPhase.
+// Phases returns the spans recorded via BeginPhase/EndPhase in the order
+// they began, so an enclosing phase precedes the phases nested in it. A
+// phase still open reports zero cost until it ends.
 func (n *Network) Phases() []PhaseSpan { return n.phases }
 
-// BeginPhase starts attributing costs to a named phase.
+// BeginPhase starts attributing costs to a named phase, nested inside any
+// phase already open.
 func (n *Network) BeginPhase(name string) {
-	n.cur = name
-	n.mark = n.stats
+	n.open = append(n.open, openPhase{span: len(n.phases), mark: n.stats})
+	n.phases = append(n.phases, PhaseSpan{Name: name, Depth: len(n.open) - 1})
 }
 
-// EndPhase closes the current phase and records its span.
+// EndPhase closes the innermost open phase and records its cost, which
+// includes the cost of every phase nested in it. With no phase open it is
+// a no-op.
 func (n *Network) EndPhase() {
-	if n.cur == "" {
+	if len(n.open) == 0 {
 		return
 	}
-	n.phases = append(n.phases, PhaseSpan{
-		Name:      n.cur,
-		Simulated: n.stats.SimulatedRounds - n.mark.SimulatedRounds,
-		Charged:   n.stats.ChargedRounds - n.mark.ChargedRounds,
-		Messages:  n.stats.Messages - n.mark.Messages,
-	})
-	n.cur = ""
+	o := n.open[len(n.open)-1]
+	n.open = n.open[:len(n.open)-1]
+	sp := &n.phases[o.span]
+	sp.Simulated = n.stats.SimulatedRounds - o.mark.SimulatedRounds
+	sp.Charged = n.stats.ChargedRounds - o.mark.ChargedRounds
+	sp.Messages = n.stats.Messages - o.mark.Messages
+	sp.Words = n.stats.Words - o.mark.Words
 }
 
 // Charge bills k analytic rounds (k<0 is an error). Used only for

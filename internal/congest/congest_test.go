@@ -3,6 +3,7 @@ package congest
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,6 +120,56 @@ func TestChargeAndPhases(t *testing.T) {
 	}
 	if net.Stats().TotalRounds() != 17 {
 		t.Fatalf("total = %d", net.Stats().TotalRounds())
+	}
+
+	// Nested phases: spans are recorded in open order, an enclosing span
+	// bills everything nested in it, and words are attributed like rounds.
+	net = NewNetwork(pathGraph(3))
+	net.Workers = 1
+	ping := func(v int, inbox []Msg) ([]Msg, bool) {
+		if v == 0 && inbox == nil {
+			return []Msg{{EdgeID: 0, From: 0, Data: []Word{1, 2, 3}}}, false
+		}
+		return nil, false
+	}
+	net.BeginPhase("stage")
+	if err := net.Charge(5, "setup"); err != nil {
+		t.Fatal(err)
+	}
+	net.BeginPhase("epoch 1")
+	if err := net.Run(ping, []int{0}, 10); err != nil {
+		t.Fatal(err)
+	}
+	net.EndPhase()
+	net.BeginPhase("epoch 2")
+	if err := net.Charge(2, "scan"); err != nil {
+		t.Fatal(err)
+	}
+	net.EndPhase()
+	net.EndPhase()
+	net.EndPhase() // unbalanced end: a no-op
+	st := net.Stats()
+	want := []PhaseSpan{
+		{Name: "stage", Depth: 0, Simulated: st.SimulatedRounds, Charged: 7, Messages: 1, Words: 3},
+		{Name: "epoch 1", Depth: 1, Simulated: st.SimulatedRounds, Messages: 1, Words: 3},
+		{Name: "epoch 2", Depth: 1, Charged: 2},
+	}
+	if ph := net.Phases(); !slices.Equal(ph, want) || st.SimulatedRounds == 0 {
+		t.Fatalf("nested phases = %+v, want %+v", ph, want)
+	}
+
+	// ResetAccounting clears spans and an unbalanced open stack: the next
+	// phase is outermost again.
+	net.BeginPhase("aborted")
+	net.BeginPhase("aborted epoch")
+	net.ResetAccounting()
+	net.BeginPhase("fresh")
+	if err := net.Charge(1, "x"); err != nil {
+		t.Fatal(err)
+	}
+	net.EndPhase()
+	if ph := net.Phases(); !slices.Equal(ph, []PhaseSpan{{Name: "fresh", Charged: 1}}) {
+		t.Fatalf("phases after reset = %+v", ph)
 	}
 }
 

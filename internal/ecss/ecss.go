@@ -46,20 +46,14 @@ type Options struct {
 	// the engine — like the experiment harness — set 1.
 	Workers int
 	// Progress, if non-nil, is invoked at the start of each pipeline stage
-	// ("bfs", "mst", "tap", "assemble") from the solving goroutine. The
+	// ("bfs", "mst", "tap", "assemble") from the solving goroutine. It only
+	// notifies: each stage's cost is its depth-0 span in net.Phases(), and
+	// the previous stage's span is closed by the time Progress runs. The
 	// service layer uses it to surface per-job progress. Like Workers it is
 	// an execution knob, not part of result identity: the engine is
 	// deterministic for any worker count, so content-addressed caches key
 	// on the remaining fields only.
 	Progress func(stage string)
-	// StageStats, if non-nil, is invoked when a pipeline stage completes,
-	// with the engine cost delta (rounds, messages, words) that stage
-	// consumed. It fires after the next stage's Progress call would be
-	// due — ordering per stage is StageStats(prev) then Progress(next) —
-	// and once more for the final stage when SolveOn returns successfully.
-	// A stage aborted by an error reports no delta. Like Progress it is an
-	// execution knob, excluded from result identity.
-	StageStats func(stage string, delta congest.Stats)
 }
 
 // DefaultOptions returns Theorem 1.1's configuration.
@@ -113,6 +107,10 @@ func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 // fresh and reused networks report per-solve bills; Result.Stats.
 // MaxEdgeWords is the network-lifetime maximum unless the caller calls
 // net.ResetAccounting between solves.
+//
+// Each stage runs inside a network phase named after it, so the stage
+// spans, nested in whatever phase was open at the call, sum to
+// Result.Stats. A stage that fails leaves its phase open.
 func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 	g := net.G
 	if opt.Eps <= 0 {
@@ -124,32 +122,21 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 	if opt.Workers > 0 {
 		net.Workers = opt.Workers
 	}
-	// step opens a stage: it first closes the previous one by reporting the
-	// engine cost consumed since its start (StageStats), then announces the
-	// new stage (Progress). closeLast flushes the final stage on success.
-	var curStage string
-	var stageMark congest.Stats
-	step := func(stage string) {
-		if opt.StageStats != nil {
-			now := net.Stats()
-			if curStage != "" {
-				opt.StageStats(curStage, statsDelta(stageMark, now))
-			}
-			curStage, stageMark = stage, now
+	// enter ends the running stage's phase, announces the next stage, and
+	// opens its phase.
+	running := false
+	enter := func(stage string) {
+		if running {
+			net.EndPhase()
 		}
 		if opt.Progress != nil {
 			opt.Progress(stage)
 		}
-	}
-	closeLast := func() {
-		if opt.StageStats != nil && curStage != "" {
-			opt.StageStats(curStage, statsDelta(stageMark, net.Stats()))
-			curStage = ""
-		}
+		net.BeginPhase(stage)
+		running = true
 	}
 	start := net.Stats()
-	step("bfs")
-	net.BeginPhase("bfs")
+	enter("bfs")
 	bfs, err := primitives.BuildBFS(net, opt.Root)
 	if err != nil {
 		if errors.Is(err, tree.ErrNotTree) {
@@ -157,10 +144,8 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 		}
 		return nil, err
 	}
-	net.EndPhase()
 
-	step("mst")
-	net.BeginPhase("mst")
+	enter("mst")
 	var t *tree.Rooted
 	switch opt.MST {
 	case MSTSimulateBoruvka:
@@ -178,9 +163,8 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	net.EndPhase()
 
-	step("tap")
+	enter("tap")
 	solver, err := tap.NewSolver(net, bfs, t)
 	if err != nil {
 		return nil, err
@@ -193,10 +177,10 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	step("assemble")
+	enter("assemble")
 	res := assemble(g, t, tr)
+	net.EndPhase()
 	res.Stats = statsDelta(start, net.Stats())
-	closeLast()
 	return res, nil
 }
 
@@ -214,18 +198,9 @@ func statsDelta(start, end congest.Stats) congest.Stats {
 
 func assemble(g *graph.Graph, t *tree.Rooted, tr *tap.Result) *Result {
 	res := &Result{TAP: tr, TreeWeight: int64(t.Weight()), AugWeight: tr.Weight}
-	seen := map[int]bool{}
-	for _, id := range t.TreeEdgeIDs() {
-		seen[id] = true
-		res.Edges = append(res.Edges, id)
-	}
-	for _, id := range tr.OrigEdges {
-		if !seen[id] {
-			seen[id] = true
-			res.Edges = append(res.Edges, id)
-		}
-	}
+	res.Edges = append(t.TreeEdgeIDs(), tr.OrigEdges...)
 	slices.Sort(res.Edges)
+	res.Edges = slices.Compact(res.Edges)
 	res.Weight = int64(g.TotalWeight(res.Edges))
 	res.LowerBound = float64(res.TreeWeight)
 	if lb := tr.DualLB / 2; lb > res.LowerBound {

@@ -3,6 +3,7 @@ package ecss
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"twoecss/internal/congest"
@@ -150,45 +151,81 @@ func TestRemovalToleranceOfSolution(t *testing.T) {
 	}
 }
 
-func TestStageStatsDeltas(t *testing.T) {
+func TestStageSpans(t *testing.T) {
 	g := gen2EC(11, 40, 35, graph.WeightUniform)
-	opt := DefaultOptions()
-	opt.Workers = 1
-	var order []string
-	deltas := map[string]congest.Stats{}
-	opt.Progress = func(stage string) { order = append(order, "p:"+stage) }
-	opt.StageStats = func(stage string, d congest.Stats) {
-		order = append(order, "s:"+stage)
-		deltas[stage] = d
-	}
-	res, net, err := Solve(g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	// Per stage: StageStats closes the previous stage before Progress opens
-	// the next, and the final stage flushes at return.
-	want := []string{"p:bfs", "s:bfs", "p:mst", "s:mst", "p:tap", "s:tap", "p:assemble", "s:assemble"}
-	if !slices.Equal(order, want) {
-		t.Fatalf("hook order %v, want %v", order, want)
-	}
-	var sim, charged, msgs int64
-	for _, d := range deltas {
-		if d.SimulatedRounds < 0 || d.ChargedRounds < 0 || d.Messages < 0 {
-			t.Fatalf("negative stage delta: %+v", d)
-		}
-		sim += d.SimulatedRounds
-		charged += d.ChargedRounds
-		msgs += d.Messages
-	}
-	if sim != res.Stats.SimulatedRounds || charged != res.Stats.ChargedRounds || msgs != res.Stats.Messages {
-		t.Fatalf("stage deltas sum to %d/%d rounds %d msgs, result bill %d/%d rounds %d msgs",
-			sim, charged, msgs, res.Stats.SimulatedRounds, res.Stats.ChargedRounds, res.Stats.Messages)
-	}
-	if deltas["bfs"].SimulatedRounds == 0 {
-		t.Fatal("bfs stage reported zero simulated rounds")
-	}
-	if deltas["mst"].ChargedRounds == 0 {
-		t.Fatal("charged MST stage reported zero charged rounds")
+	for _, tc := range []struct {
+		name string
+		mst  MSTMode
+	}{
+		{"kutten-peleg", MSTChargeKuttenPeleg},
+		{"boruvka", MSTSimulateBoruvka},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := DefaultOptions()
+			opt.Workers = 1
+			opt.MST = tc.mst
+			var progress []string
+			var seen []congest.PhaseSpan // the last stage span each Progress call saw
+			net := congest.NewNetwork(g)
+			defer net.Close()
+			opt.Progress = func(stage string) {
+				progress = append(progress, stage)
+				ph := net.Phases()
+				for i := len(ph) - 1; i >= 0; i-- {
+					if ph[i].Depth == 0 {
+						seen = append(seen, ph[i])
+						break
+					}
+				}
+			}
+			res, err := SolveOn(net, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stages []string
+			var spans []congest.PhaseSpan
+			var sum congest.Stats
+			epochs := 0
+			for _, sp := range net.Phases() {
+				if sp.Simulated < 0 || sp.Charged < 0 || sp.Messages < 0 || sp.Words < 0 {
+					t.Fatalf("negative span: %+v", sp)
+				}
+				switch sp.Depth {
+				case 0:
+					stages = append(stages, sp.Name)
+					spans = append(spans, sp)
+					sum.SimulatedRounds += sp.Simulated
+					sum.ChargedRounds += sp.Charged
+					sum.Messages += sp.Messages
+					sum.Words += sp.Words
+				case 1:
+					if stages[len(stages)-1] != "tap" || !strings.Contains(sp.Name, "epoch") {
+						t.Fatalf("depth-1 span %q under stage %q", sp.Name, stages[len(stages)-1])
+					}
+					epochs++
+				default:
+					t.Fatalf("span %+v nested too deep", sp)
+				}
+			}
+			want := []string{"bfs", "mst", "tap", "assemble"}
+			if !slices.Equal(stages, want) || !slices.Equal(progress, want) {
+				t.Fatalf("stage spans %v, progress %v, want %v", stages, progress, want)
+			}
+			// Progress runs after the previous stage's span has closed, so
+			// it already reads that span's final cost.
+			if !slices.Equal(seen, spans[:len(spans)-1]) {
+				t.Fatalf("Progress saw stage spans %+v, final %+v", seen, spans)
+			}
+			if epochs == 0 {
+				t.Fatal("no tap epoch spans at depth 1")
+			}
+			sum.MaxEdgeWords = res.Stats.MaxEdgeWords
+			if sum != res.Stats {
+				t.Fatalf("stage spans sum to %+v, result bill %+v", sum, res.Stats)
+			}
+			if spans[0].Simulated == 0 {
+				t.Fatal("bfs stage billed zero simulated rounds")
+			}
+		})
 	}
 }

@@ -36,20 +36,27 @@ var (
 	engineMessageBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 )
 
-// observeStage records one completed pipeline stage: wall time plus the
-// engine cost delta the stage consumed. The registry getter is
-// get-or-create, so stages appear as they are first exercised.
-func (s *Service) observeStage(stage string, d time.Duration, cost congest.Stats) {
+// observeStage records one completed pipeline stage: its wall time and
+// engine cost go to the metrics and the cost to the process engine ledger.
+// The registry getter is get-or-create, so stages appear as they are first
+// exercised.
+func (s *Service) observeStage(sc StageCost) {
 	m := s.o.Metrics
-	l := obs.L("stage", stage)
+	l := obs.L("stage", sc.Stage)
 	m.Histogram("ecss_solve_stage_seconds",
-		"Wall time per solver pipeline stage.", nil, l).Observe(d.Seconds())
+		"Wall time per solver pipeline stage.", nil, l).Observe(sc.Seconds)
 	m.Histogram("ecss_engine_stage_rounds",
 		"Engine rounds (simulated + charged) consumed per pipeline stage.",
-		engineRoundBuckets, l).Observe(float64(cost.SimulatedRounds + cost.ChargedRounds))
+		engineRoundBuckets, l).Observe(float64(sc.SimulatedRounds + sc.ChargedRounds))
 	m.Histogram("ecss_engine_stage_messages",
 		"Engine messages delivered per pipeline stage.",
-		engineMessageBuckets, l).Observe(float64(cost.Messages))
+		engineMessageBuckets, l).Observe(float64(sc.Messages))
+	s.mu.Lock()
+	s.stats.Engine.SimulatedRounds += sc.SimulatedRounds
+	s.stats.Engine.ChargedRounds += sc.ChargedRounds
+	s.stats.Engine.Messages += sc.Messages
+	s.stats.Engine.Words += sc.Words
+	s.mu.Unlock()
 }
 
 // observeSolveCost records one terminal solve's whole-pipeline engine cost.
@@ -186,13 +193,13 @@ type JobProfile struct {
 }
 
 // buildProfile copies the recorder's ring (which the next solve on this
-// worker would overwrite) and the attempt's stage costs into a retained
-// profile.
+// worker would overwrite) into a retained profile with the attempt's stage
+// costs.
 func buildProfile(rec *congest.RoundRecorder, stages []StageCost) *JobProfile {
 	p := &JobProfile{
 		Stride:         rec.Stride(),
 		RoundsObserved: rec.Observed(),
-		Stages:         append([]StageCost(nil), stages...),
+		Stages:         stages,
 	}
 	samples := rec.Samples()
 	p.Rounds = make([]RoundSampleWire, len(samples))

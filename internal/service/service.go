@@ -401,7 +401,6 @@ func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job,
 	}
 	opt.Workers = s.cfg.NetWorkers
 	opt.Progress = nil
-	opt.StageStats = nil
 	ghash := g.Hash()
 	key := keyFor(ghash, opt)
 
@@ -555,60 +554,6 @@ func (s *Service) runJob(j *Job) {
 	g, opt := j.g, j.opt
 	s.mu.Unlock()
 
-	// Stage accounting is attempt-local and touched only by this goroutine:
-	// Progress and StageStats are invoked synchronously from the solving
-	// worker (per stage: StageStats(prev) then Progress(next)), so the
-	// previous stage closes out at each transition — and after the attempt
-	// returns — without a lock. The job.stage event fires at stage
-	// completion, carrying the stage's wall time and buffered engine delta.
-	var stageStart time.Time
-	var stage string
-	var stageCost congest.Stats
-	var stages []StageCost
-	var jobRounds, jobMsgs int64 // engine totals across attempts
-	closeStage := func(now time.Time) {
-		if stage == "" {
-			return
-		}
-		d := now.Sub(stageStart)
-		s.observeStage(stage, d, stageCost)
-		stages = append(stages, StageCost{Stage: stage, Seconds: d.Seconds(),
-			SimulatedRounds: stageCost.SimulatedRounds, ChargedRounds: stageCost.ChargedRounds,
-			Messages: stageCost.Messages, Words: stageCost.Words})
-		s.emit(obs.Event{Type: obs.EvJobStage, Job: j.id, Req: j.req, Stage: stage,
-			MS:     float64(d) / float64(time.Millisecond),
-			Rounds: stageCost.SimulatedRounds + stageCost.ChargedRounds, Msgs: stageCost.Messages})
-		stage, stageCost = "", congest.Stats{}
-	}
-	opt.StageStats = func(st string, delta congest.Stats) {
-		// Fires before the next stage's Progress call (and once more on
-		// success for the final stage): buffer the delta for closeStage and
-		// bill the process ledger. An aborted stage reports no delta and
-		// closes out with zero cost.
-		if st == stage {
-			stageCost = delta
-		}
-		jobRounds += delta.SimulatedRounds + delta.ChargedRounds
-		jobMsgs += delta.Messages
-		s.mu.Lock()
-		s.stats.Engine.SimulatedRounds += delta.SimulatedRounds
-		s.stats.Engine.ChargedRounds += delta.ChargedRounds
-		s.stats.Engine.Messages += delta.Messages
-		s.stats.Engine.Words += delta.Words
-		s.mu.Unlock()
-	}
-	opt.Progress = func(st string) {
-		// Panic and delay modes apply here (a returned error has nowhere to
-		// go mid-pipeline); a panic unwinds into solveOnce's recovery.
-		_ = faults.Point("solve.stage")
-		now := time.Now()
-		closeStage(now)
-		stage, stageStart = st, now
-		s.mu.Lock()
-		j.phase = st
-		s.mu.Unlock()
-	}
-
 	// The round recorder is armed per attempt on the solve's pooled network
 	// (solveOnce) and reset across retries, so the retained profile narrates
 	// the attempt that produced the terminal state.
@@ -618,16 +563,19 @@ func (s *Service) runJob(j *Job) {
 	}
 
 	var raw []byte
+	var stages []StageCost       // the last attempt's stages
+	var jobRounds, jobMsgs int64 // engine totals across attempts
 	var err error
 	backoff := retryBackoffBase
 	for attempt := 0; ; attempt++ {
-		stageStart = time.Now()
 		if rec != nil {
 			rec.Reset()
 		}
-		stages = stages[:0]
-		raw, err = s.solveOnce(j, g, opt, rec)
-		closeStage(time.Now())
+		raw, stages, err = s.solveOnce(j, g, opt, rec)
+		for _, sc := range stages {
+			jobRounds += sc.SimulatedRounds + sc.ChargedRounds
+			jobMsgs += sc.Messages
+		}
 		if err == nil || attempt >= maxSolveRetries || !retryable(err) {
 			break
 		}
@@ -699,15 +647,57 @@ func (s *Service) runJob(j *Job) {
 }
 
 // solveOnce runs one pipeline attempt on a pooled network, converting
-// solver panics into errors. A network that panicked mid-solve is in an
-// unknown state and is closed, never returned to the pool. rec, when
-// non-nil, is armed as the network's round observer for the duration of the
-// solve and disarmed before the network can re-enter the pool.
-func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, err error) {
+// solver panics into errors, and returns the stages the attempt entered. A
+// network that panicked mid-solve is in an unknown state and is closed,
+// never returned to the pool. rec, when non-nil, is armed as the network's
+// round observer for the duration of the solve and disarmed before the
+// network can re-enter the pool.
+//
+// A stage's cost is its depth-0 span in the network's phases: ecss.SolveOn
+// closes each stage's span before it calls Progress for the next, and the
+// final one before it returns. So every transition reads the just-closed
+// span, without a lock, and the job.stage event fires at stage completion
+// with the stage's wall time and cost. A stage aborted by an error or panic
+// has no closed span and bills zero.
+func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, stages []StageCost, err error) {
+	var net *congest.Network
+	var stage string // the stage SolveOn last entered, until closed
+	var stageStart time.Time
+	var stageEnded bool // stage's span is closed on net
+	closeStage := func() {
+		if stage == "" {
+			return
+		}
+		var sp congest.PhaseSpan
+		if stageEnded {
+			sp = lastStage(net.Phases())
+		}
+		d := time.Since(stageStart)
+		sc := StageCost{Stage: stage, Seconds: d.Seconds(), SimulatedRounds: sp.Simulated,
+			ChargedRounds: sp.Charged, Messages: sp.Messages, Words: sp.Words}
+		stages = append(stages, sc)
+		s.observeStage(sc)
+		s.emit(obs.Event{Type: obs.EvJobStage, Job: j.id, Req: j.req, Stage: stage,
+			MS:     float64(d) / float64(time.Millisecond),
+			Rounds: sp.Simulated + sp.Charged, Msgs: sp.Messages})
+		stage = ""
+	}
+	opt.Progress = func(st string) {
+		stageEnded = true // SolveOn has closed the previous stage's span
+		// Panic and delay modes apply here (a returned error has nowhere to
+		// go mid-pipeline); a panic unwinds into the recovery below, which
+		// still closes the previous stage.
+		_ = faults.Point("solve.stage")
+		closeStage()
+		stage, stageStart, stageEnded = st, time.Now(), false
+		s.mu.Lock()
+		j.phase = st
+		s.mu.Unlock()
+	}
+
 	// The recovery is installed before the first injection point so that
 	// every panic-mode fault on this path — including solve.pre itself —
 	// degrades to a per-job error, never a dead worker.
-	var net *congest.Network
 	panicked := true
 	defer func() {
 		if panicked {
@@ -716,18 +706,19 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 			s.stats.PanicsRecovered++
 			s.mu.Unlock()
 			err = &panicError{val: r}
-			if net != nil {
-				net.Close()
-			}
-			return
 		}
-		if net != nil {
+		closeStage()
+		switch {
+		case net == nil:
+		case panicked:
+			net.Close()
+		default:
 			s.pool.Put(j.ghash, net)
 		}
 	}()
 	if ferr := faults.Point("solve.pre"); ferr != nil {
 		panicked = false
-		return nil, ferr
+		return nil, nil, ferr
 	}
 	net = s.pool.Get(j.ghash, g)
 	net.ResetAccounting()
@@ -735,6 +726,7 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 		net.Observer = rec
 	}
 	res, serr := ecss.SolveOn(net, opt)
+	stageEnded = serr == nil
 	// Disarm before the network can be pooled: a recycled network must never
 	// write a later job's rounds into this job's profile.
 	net.Observer = nil
@@ -749,7 +741,18 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 		raw, serr = json.Marshal(wireResult(net.G, res))
 	}
 	panicked = false
-	return raw, serr
+	return raw, stages, serr
+}
+
+// lastStage returns the last outermost span: the pipeline stage that
+// closed most recently.
+func lastStage(spans []congest.PhaseSpan) congest.PhaseSpan {
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Depth == 0 {
+			return spans[i]
+		}
+	}
+	return congest.PhaseSpan{}
 }
 
 // panicError wraps a recovered solver panic as a per-job error.
