@@ -708,11 +708,12 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 			err = &panicError{val: r}
 		}
 		closeStage()
-		switch {
-		case net == nil:
-		case panicked:
+		if net == nil {
+			return
+		}
+		if panicked {
 			net.Close()
-		default:
+		} else {
 			s.pool.Put(j.ghash, net)
 		}
 	}()
@@ -726,7 +727,7 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 		net.Observer = rec
 	}
 	res, serr := ecss.SolveOn(net, opt)
-	stageEnded = serr == nil
+	stageEnded = serr == nil // the final span closes only on success
 	// Disarm before the network can be pooled: a recycled network must never
 	// write a later job's rounds into this job's profile.
 	net.Observer = nil
