@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"encoding/hex"
+	"testing"
+)
 
 func TestHashIgnoresInsertionOrderAndOrientation(t *testing.T) {
 	a := New(5)
@@ -70,5 +73,57 @@ func TestHashStableAcrossCalls(t *testing.T) {
 	}
 	if g.Hash() != h.Hash() {
 		t.Fatal("same (family, n, seed) generated different graphs")
+	}
+}
+
+// hashGolden pins Hash's digest of ByFamily(f, 256, 7). Store entries on
+// disk, the service's cache keys and the router's ring placement are all
+// this digest, so any change to it orphans every stored result: a rewrite
+// of Hash must leave these bytes exactly as they are.
+var hashGolden = map[string]string{
+	"er":     "25014f46bc08f30e577435a67b9b8f00bfe95f0c26955cb4e45a82161dcf8888",
+	"grid":   "89771b049b3817d7170b51061de93705578b8dd522098433bb3bd04a87c7be37",
+	"ring":   "15a8337c0dc0f5ce09aa8525e1cccf6e6e9fe2ce46f76d3eecc02378e4672cd9",
+	"random": "4ae87e780a67f642f840629ad5347da2248c9e8ba363c477eb43539e2fe6760a",
+	"ba":     "a4c74e35091181b2491fbe45cea0bc288635143440ea945f33058b88b4e743cb",
+}
+
+func TestHashGolden(t *testing.T) {
+	for _, f := range []string{"er", "grid", "ring", "random", "ba"} {
+		g, err := ByFamily(f, 256, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := g.Hash()
+		if got := hex.EncodeToString(h[:]); got != hashGolden[f] {
+			t.Errorf("%s: Hash = %s, want %s", f, got, hashGolden[f])
+		}
+		// The same multiset, inserted in reverse with every edge flipped.
+		r := New(g.N)
+		for i := len(g.Edges) - 1; i >= 0; i-- {
+			e := g.Edges[i]
+			r.MustAddEdge(e.V, e.U, e.W)
+		}
+		if r.Hash() != h {
+			t.Errorf("%s: reversed and flipped copy hashes differently", f)
+		}
+	}
+}
+
+// TestHashGoldenSignedParallel pins the digest's order on what the
+// families never produce: parallel edges, negative weights and weights
+// past 32 bits. Equal endpoints sort by signed weight.
+func TestHashGoldenSignedParallel(t *testing.T) {
+	g := New(5)
+	g.MustAddEdge(3, 1, -4)
+	g.MustAddEdge(1, 3, 9)
+	g.MustAddEdge(1, 3, -4)
+	g.MustAddEdge(0, 4, 1<<40)
+	g.MustAddEdge(4, 2, 0)
+	g.MustAddEdge(2, 0, -1<<50)
+	h := g.Hash()
+	const want = "50adeb5b48e9e80945185ebd0e70270f3f5504a1ed52a19d0737898264033851"
+	if got := hex.EncodeToString(h[:]); got != want {
+		t.Fatalf("Hash = %s, want %s", got, want)
 	}
 }
