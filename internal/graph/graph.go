@@ -53,14 +53,22 @@ func New(n int) *Graph {
 	return &Graph{N: n, adj: make([][]int, n), csrDirty: true}
 }
 
-// AddEdge inserts the undirected edge {u,v} with weight w and returns its id.
+// checkEdge is the edge validation AddEdge and FromEdges share.
 // Self-loops are rejected because no algorithm here tolerates them.
-func (g *Graph) AddEdge(u, v int, w Weight) (int, error) {
+func checkEdge(n, u, v int) error {
 	if u == v {
-		return -1, fmt.Errorf("graph: self-loop at vertex %d", u)
+		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	if u < 0 || v < 0 || u >= g.N || v >= g.N {
-		return -1, fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.N)
+	if u < 0 || v < 0 || u >= n || v >= n {
+		return fmt.Errorf("graph: edge {%d,%d} out of range [0,%d)", u, v, n)
+	}
+	return nil
+}
+
+// AddEdge inserts the undirected edge {u,v} with weight w and returns its id.
+func (g *Graph) AddEdge(u, v int, w Weight) (int, error) {
+	if err := checkEdge(g.N, u, v); err != nil {
+		return -1, err
 	}
 	id := len(g.Edges)
 	g.Edges = append(g.Edges, Edge{U: u, V: v, W: w})
@@ -68,6 +76,38 @@ func (g *Graph) AddEdge(u, v int, w Weight) (int, error) {
 	g.adj[v] = append(g.adj[v], id)
 	g.csrDirty = true
 	return id, nil
+}
+
+// FromEdges returns the graph on n vertices whose edge i is edges[i]: the
+// graph New(n) plus one AddEdge per edge in order builds, with the same
+// incidence order at every vertex. An invalid edge fails with AddEdge's
+// error prefixed by its index. FromEdges takes ownership of edges.
+//
+// The incidence lists are carved from one array sized by degree instead
+// of grown by appends. Each list's capacity is its vertex's degree, so a
+// later AddEdge reallocates that list rather than writing into the next
+// vertex's.
+func FromEdges(n int, edges []Edge) (*Graph, error) {
+	deg := make([]int, n)
+	for i, e := range edges {
+		if err := checkEdge(n, e.U, e.V); err != nil {
+			return nil, fmt.Errorf("edge %d: %w", i, err)
+		}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	g := &Graph{N: n, Edges: edges, adj: make([][]int, n), csrDirty: true}
+	flat := make([]int, 2*len(edges))
+	off := 0
+	for v, d := range deg {
+		g.adj[v] = flat[off : off : off+d]
+		off += d
+	}
+	for id, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], id)
+		g.adj[e.V] = append(g.adj[e.V], id)
+	}
+	return g, nil
 }
 
 // MustAddEdge is AddEdge for generator code where inputs are known valid.

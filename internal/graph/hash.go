@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
@@ -19,45 +20,39 @@ import (
 // Consumers keying on Hash must therefore exchange results in a
 // representation-independent form (endpoint triples, not edge ids).
 func (g *Graph) Hash() [32]byte {
-	type triple struct {
-		u, v int32
-		w    Weight
-	}
-	es := make([]triple, len(g.Edges))
+	es := make([]hashEdge, len(g.Edges))
 	for i, e := range g.Edges {
-		u, v := int32(e.U), int32(e.V)
+		u, v := uint32(e.U), uint32(e.V)
 		if u > v {
 			u, v = v, u
 		}
-		es[i] = triple{u: u, v: v, w: e.W}
+		es[i] = hashEdge{key: uint64(u)<<32 | uint64(v), w: e.W}
 	}
-	slices.SortFunc(es, func(a, b triple) int {
-		if a.u != b.u {
-			return int(a.u - b.u)
-		}
-		if a.v != b.v {
-			return int(a.v - b.v)
-		}
-		switch {
-		case a.w < b.w:
-			return -1
-		case a.w > b.w:
-			return 1
-		}
-		return 0
-	})
-	h := sha256.New()
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[:8], uint64(g.N))
+	slices.SortFunc(es, cmpHashEdge)
+	// The digest input is 16 bytes of header and 16 per edge: N and M as
+	// uint64, then each edge as uint32 u, uint32 v (u <= v) and int64 w.
+	buf := make([]byte, 16+16*len(es))
+	binary.LittleEndian.PutUint64(buf, uint64(g.N))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(len(es)))
-	h.Write(buf[:])
-	for _, t := range es {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(t.u))
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(t.v))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(t.w))
-		h.Write(buf[:])
+	for i, t := range es {
+		b := buf[16+16*i:]
+		binary.LittleEndian.PutUint32(b, uint32(t.key>>32))
+		binary.LittleEndian.PutUint32(b[4:], uint32(t.key))
+		binary.LittleEndian.PutUint64(b[8:], uint64(t.w))
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
+}
+
+// hashEdge is one normalized edge of the digest: key packs (u, v) with
+// u <= v so that one integer comparison orders by u, then v.
+type hashEdge struct {
+	key uint64
+	w   Weight
+}
+
+func cmpHashEdge(a, b hashEdge) int {
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.w, b.w)
 }
