@@ -26,12 +26,12 @@ import (
 type GraphWire struct {
 	N int `json:"n"`
 	// Edges lists [u, v, w] triples.
-	Edges [][3]int64 `json:"edges"`
+	Edges EdgeList `json:"edges"`
 }
 
 // WireGraph encodes g for a solve request.
 func WireGraph(g *graph.Graph) GraphWire {
-	w := GraphWire{N: g.N, Edges: make([][3]int64, len(g.Edges))}
+	w := GraphWire{N: g.N, Edges: make(EdgeList, len(g.Edges))}
 	for i, e := range g.Edges {
 		w.Edges[i] = [3]int64{int64(e.U), int64(e.V), int64(e.W)}
 	}
@@ -57,13 +57,11 @@ func (w GraphWire) toGraph() (*graph.Graph, error) {
 	if len(w.Edges) > maxWireEdges {
 		return nil, fmt.Errorf("%d edges exceed limit %d", len(w.Edges), maxWireEdges)
 	}
-	g := graph.New(w.N)
+	edges := make([]graph.Edge, len(w.Edges))
 	for i, e := range w.Edges {
-		if _, err := g.AddEdge(int(e[0]), int(e[1]), e[2]); err != nil {
-			return nil, fmt.Errorf("edge %d: %w", i, err)
-		}
+		edges[i] = graph.Edge{U: int(e[0]), V: int(e[1]), W: e[2]}
 	}
-	return g, nil
+	return graph.FromEdges(w.N, edges)
 }
 
 // OptionsWire is the JSON encoding of the result-relevant solve options.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"twoecss/internal/graph"
@@ -186,5 +187,37 @@ func TestHTTPBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: code=%d, want 404", resp.StatusCode)
+	}
+
+	// Bodies whose edge list the decoder must refuse. want is a substring
+	// of the error: the triple's index where the edge-list decoder sees
+	// the fault, or encoding/json's own complaint where the body is not
+	// JSON at all.
+	wrap := func(edges string) string { return `{"graph":{"n":4,"edges":` + edges + `},"wait":true}` }
+	for _, tc := range []struct{ name, body, want string }{
+		{"truncated", `{"graph":{"n":4,"edges":[[0,1,1],[1,2`, "unexpected EOF"},
+		{"fraction", wrap(`[[0,1,1],[1,2,1.5]]`), "edges[1]: want [u, v, w] integer triple"},
+		{"exponent", wrap(`[[0,1,1e3]]`), "edges[0]"},
+		{"string", wrap(`[[0,"1",1]]`), "edges[0]"},
+		{"overflow", wrap(`[[0,1,9223372036854775808]]`), "edges[0]"},
+		{"leading zero", wrap(`[[0,01,1]]`), "invalid character"},
+		{"pair", wrap(`[[0,1,1],[1,2,1],[0,1]]`), "edges[2]"},
+		{"quad", wrap(`[[0,1,1,5]]`), "edges[0]"},
+		{"trailing comma", wrap(`[[0,1,1],]`), "invalid character"},
+		{"null element", wrap(`[[0,1,null]]`), "edges[0]"},
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: code=%d error %q, want 400 mentioning %q", tc.name, resp.StatusCode, e.Error, tc.want)
+		}
 	}
 }
