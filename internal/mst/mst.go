@@ -230,18 +230,19 @@ func Boruvka(net *congest.Network, bfsRoot int) ([]int, error) {
 }
 
 // exchangeComp has every vertex send its component id to all neighbors in
-// one round and returns nbrComp[v][i] = component of the other endpoint of
-// incident edge i of v.
-func exchangeComp(net *congest.Network, comp []int) (map[int]map[int]int, error) {
+// one round and returns, per half-edge, the component of the far endpoint:
+// nbrComp[halfEdge(g, v, id)] for incident edge id of v, -1 if nothing
+// arrived. Vertex v's handler writes only v's own half-edges.
+func exchangeComp(net *congest.Network, comp []int) ([]int32, error) {
 	g := net.G
-	out := make(map[int]map[int]int, g.N)
+	out := make([]int32, 2*g.M())
+	for i := range out {
+		out[i] = -1
+	}
 	sent := make([]bool, g.N)
 	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
 		for _, m := range inbox {
-			if out[v] == nil {
-				out[v] = make(map[int]int, g.Degree(v))
-			}
-			out[v][m.EdgeID] = int(m.Data[0])
+			out[halfEdge(g, v, m.EdgeID)] = int32(m.Data[0])
 		}
 		if !sent[v] {
 			sent[v] = true
@@ -259,18 +260,27 @@ func exchangeComp(net *congest.Network, comp []int) (map[int]map[int]int, error)
 	return out, nil
 }
 
+// halfEdge indexes edge id as seen from its endpoint v: 2*id at the edge's
+// U end, 2*id+1 at its V end.
+func halfEdge(g *graph.Graph, v, id int) int {
+	if g.Edges[id].U == v {
+		return 2 * id
+	}
+	return 2*id + 1
+}
+
 // minOutgoingPerComp convergecasts, for every component, the minimum-weight
 // outgoing edge to the BFS root. Intermediate vertices combine entries for
 // the same component, so at most one item per component crosses any edge.
-func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrComp map[int]map[int]int) (map[int]int, error) {
+func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrComp []int32) (map[int]int, error) {
 	g := net.G
 	// best[v] is the node-local table comp -> edge id, merged en route.
 	best := make([]map[int]int, g.N)
 	for v := 0; v < g.N; v++ {
 		best[v] = map[int]int{}
 		for _, id := range g.Incident(v) {
-			oc, ok := nbrComp[v][id]
-			if !ok || oc == comp[v] {
+			oc := nbrComp[halfEdge(g, v, id)]
+			if oc < 0 || int(oc) == comp[v] {
 				continue
 			}
 			cur, ok := best[v][comp[v]]

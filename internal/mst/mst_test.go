@@ -2,6 +2,7 @@ package mst
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,5 +166,36 @@ func TestUnionFind(t *testing.T) {
 	uf.union(1, 3)
 	if uf.find(0) != uf.find(2) {
 		t.Fatal("transitive union failed")
+	}
+}
+
+// TestBoruvkaWorkersAgree runs Borůvka sequentially and on a four-worker
+// pool: every handler touches only its own vertex's state, so the edges
+// and the whole cost bill must match. The instances are large enough
+// (n >= 64 scheduled vertices) for the engine's parallel rounds to run.
+func TestBoruvkaWorkersAgree(t *testing.T) {
+	for _, f := range []string{"er", "grid", "ba"} {
+		g, err := graph.ByFamily(f, 200, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(workers int) ([]int, congest.Stats) {
+			net := congest.NewNetwork(g)
+			net.Workers = workers
+			defer net.Close()
+			ids, err := Boruvka(net, 0)
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", f, workers, err)
+			}
+			return ids, net.Stats()
+		}
+		seqIDs, seqStats := run(1)
+		parIDs, parStats := run(4)
+		if !slices.Equal(seqIDs, parIDs) {
+			t.Fatalf("%s: 4 workers chose different edges than 1", f)
+		}
+		if seqStats != parStats {
+			t.Fatalf("%s: stats with 4 workers %+v, with 1 %+v", f, parStats, seqStats)
+		}
 	}
 }
