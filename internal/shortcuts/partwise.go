@@ -38,14 +38,20 @@ type AggPlan struct {
 	started    []bool
 	// queues[2*edgeID+dir] is the FIFO of messages vertex us/vs[edgeID]
 	// (dir 0/1) still has to push over that edge, one per round; heads
-	// index into the queue slices to avoid re-slicing writes.
+	// index into the queue slices to avoid re-slicing writes. A slot is
+	// written only by its sending vertex's handler.
 	queues [][]congest.Msg
 	heads  []int32
-	slots  []int32 // queue slots used this run, for O(used) reset
-	// slab backs message payloads (3 words each); payload slices alias it,
-	// and append growth relocates only future payloads, so live ones stay
-	// valid. Reset per run, amortizing payload allocation to zero.
-	slab []Word
+	// payloads[slot] backs the slot's message payloads (3 words each);
+	// queued messages alias it, and append growth relocates only future
+	// payloads, so live ones stay valid. Kept across runs, amortizing
+	// payload allocation to zero.
+	payloads [][]Word
+	// A slot's queue, head and payloads are this run's only when
+	// stamp[slot] == run; a stale slot is reset on its first push, so a
+	// run pays for the slots it uses and nothing else.
+	stamp []uint64
+	run   uint64
 }
 
 // NewAggPlan builds the plan: per-part BFS trees over G[V_p]+H_p rooted at
@@ -99,6 +105,8 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl.started = make([]bool, nr)
 	pl.queues = make([][]congest.Msg, 2*g.M())
 	pl.heads = make([]int32, 2*g.M())
+	pl.payloads = make([][]Word, 2*g.M())
+	pl.stamp = make([]uint64, 2*g.M())
 	return pl
 }
 
@@ -146,12 +154,8 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			}
 		}
 	}
-	for _, s := range pl.slots {
-		pl.queues[s] = pl.queues[s][:0]
-		pl.heads[s] = 0
-	}
-	pl.slots = pl.slots[:0]
-	pl.slab = pl.slab[:0]
+	pl.run++
+	run := pl.run
 
 	push := func(v int32, edge int32, tag, p, val Word) {
 		dir := int32(0)
@@ -159,11 +163,15 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			dir = 1
 		}
 		slot := 2*edge + dir
-		if len(pl.queues[slot]) == 0 && pl.heads[slot] == 0 {
-			pl.slots = append(pl.slots, slot) // first use this run; reset next run
+		if pl.stamp[slot] != run { // first use this run
+			pl.stamp[slot] = run
+			pl.queues[slot] = pl.queues[slot][:0]
+			pl.heads[slot] = 0
+			pl.payloads[slot] = pl.payloads[slot][:0]
 		}
-		pl.slab = append(pl.slab, tag, p, val)
-		data := pl.slab[len(pl.slab)-3 : len(pl.slab) : len(pl.slab)]
+		buf := append(pl.payloads[slot], tag, p, val)
+		pl.payloads[slot] = buf
+		data := buf[len(buf)-3 : len(buf) : len(buf)]
 		pl.queues[slot] = append(pl.queues[slot], congest.Msg{EdgeID: int(edge), From: int(v), Data: data})
 	}
 
@@ -228,6 +236,9 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 				dir = 1
 			}
 			slot := 2*h.ID + dir
+			if pl.stamp[slot] != run {
+				continue
+			}
 			q, head := pl.queues[slot], pl.heads[slot]
 			if int(head) >= len(q) {
 				continue
