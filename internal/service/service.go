@@ -626,7 +626,6 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 	s.mu.Unlock()
-	close(j.done)
 	s.solveHist.Observe(dur / float64(time.Second))
 	s.observeSolveCost(jobRounds, jobMsgs)
 	s.sloAvail.Observe(err == nil)
@@ -644,6 +643,9 @@ func (s *Service) runJob(j *Job) {
 	}
 	s.emit(obs.Event{Type: typ, Job: j.id, Req: j.req, Class: j.priority.String(), Err: errStr,
 		MS: dur / float64(time.Millisecond), Rounds: jobRounds, Msgs: jobMsgs, Terminal: true})
+	// Done closes last, so whoever waits on it sees the job's terminal
+	// event and metrics already recorded.
+	close(j.done)
 }
 
 // solveOnce runs one pipeline attempt on a pooled network, converting
