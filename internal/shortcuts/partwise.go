@@ -36,20 +36,18 @@ type AggPlan struct {
 	result     []Word
 	haveResult []bool
 	started    []bool
-	// queues[2*edgeID+dir] is the FIFO of messages vertex us/vs[edgeID]
-	// (dir 0/1) still has to push over that edge, one per round; heads
-	// index into the queue slices to avoid re-slicing writes. A slot is
-	// written only by its sending vertex's handler.
-	queues [][]congest.Msg
+	// queues[2*edgeID+dir] is the FIFO of payloads (tag, part, value)
+	// vertex us/vs[edgeID] (dir 0/1) still has to push over that edge, one
+	// per round; heads index into the queue slices to avoid re-slicing
+	// writes. A slot is written only by its sending vertex's handler. A
+	// sent message's Data aliases its queue entry: appends write past
+	// every live entry, and growth leaves the old array intact. The
+	// queues are kept across runs, amortizing payload allocation to zero.
+	queues [][][3]Word
 	heads  []int32
-	// payloads[slot] backs the slot's message payloads (3 words each);
-	// queued messages alias it, and append growth relocates only future
-	// payloads, so live ones stay valid. Kept across runs, amortizing
-	// payload allocation to zero.
-	payloads [][]Word
-	// A slot's queue, head and payloads are this run's only when
-	// stamp[slot] == run; a stale slot is reset on its first push, so a
-	// run pays for the slots it uses and nothing else.
+	// A slot's queue and head are this run's only when stamp[slot] == run;
+	// a stale slot is reset on its first push, so a run pays for the
+	// slots it uses and nothing else.
 	stamp []uint64
 	run   uint64
 }
@@ -103,9 +101,8 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl.result = make([]Word, nr)
 	pl.haveResult = make([]bool, nr)
 	pl.started = make([]bool, nr)
-	pl.queues = make([][]congest.Msg, 2*g.M())
+	pl.queues = make([][][3]Word, 2*g.M())
 	pl.heads = make([]int32, 2*g.M())
-	pl.payloads = make([][]Word, 2*g.M())
 	pl.stamp = make([]uint64, 2*g.M())
 	return pl
 }
@@ -167,12 +164,8 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			pl.stamp[slot] = run
 			pl.queues[slot] = pl.queues[slot][:0]
 			pl.heads[slot] = 0
-			pl.payloads[slot] = pl.payloads[slot][:0]
 		}
-		buf := append(pl.payloads[slot], tag, p, val)
-		pl.payloads[slot] = buf
-		data := buf[len(buf)-3 : len(buf) : len(buf)]
-		pl.queues[slot] = append(pl.queues[slot], congest.Msg{EdgeID: int(edge), From: int(v), Data: data})
+		pl.queues[slot] = append(pl.queues[slot], [3]Word{tag, p, val})
 	}
 
 	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
@@ -243,7 +236,7 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			if int(head) >= len(q) {
 				continue
 			}
-			out = append(out, q[head])
+			out = append(out, congest.Msg{EdgeID: int(h.ID), From: v, Data: q[head][:]})
 			pl.heads[slot] = head + 1
 			if int(head)+1 < len(q) {
 				active = true
