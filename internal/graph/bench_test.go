@@ -159,3 +159,22 @@ func BenchmarkDiameter(b *testing.B) {
 		}
 	}
 }
+
+var hashSink [32]byte
+
+// BenchmarkHash digests the five n=256 service families, the instances a
+// warm hit hashes on every request.
+func BenchmarkHash(b *testing.B) {
+	var gs []*Graph
+	for _, f := range []string{"er", "grid", "ring", "random", "ba"} {
+		g, err := ByFamily(f, 256, 7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		hashSink = gs[i%len(gs)].Hash()
+	}
+}
