@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 )
 
@@ -12,10 +13,11 @@ import (
 //
 // The decoder accepts exactly the inputs encoding/json accepts into
 // [][3]int64 whose every element is a three-integer array, and decodes
-// them to the same values; null is a nil list. It rejects, naming the
-// triple's index, anything else: non-integers (1.5, 1e3, "1", null),
-// values outside int64, triples of any length but 3 (encoding/json would
-// zero-fill a short one and drop a fourth element), and trailing commas.
+// them to the same values; null is a nil list. It rejects anything else,
+// naming the triple where the fault is: non-integers (1.5, 1e3, "1",
+// null), leading zeros, values outside int64, triples of any length but 3
+// (encoding/json would zero-fill a short one and drop a fourth element),
+// and trailing commas.
 type EdgeList [][3]int64
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -26,11 +28,12 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 		return nil
 	}
 	if i == len(data) || data[i] != '[' {
-		return fmt.Errorf("edges: want an array of [u, v, w] integer triples")
+		return errors.New("edges: want an array of [u, v, w] integer triples")
 	}
 	// Every triple closes with one ']' and the list with one more, so the
-	// count sizes the list exactly for any input that decodes.
-	out := make(EdgeList, 0, max(bytes.Count(data, []byte("]"))-1, 0))
+	// count sizes the list exactly for any input that decodes. The edge
+	// limit bounds what a list of empty arrays can reserve up front.
+	out := make(EdgeList, 0, min(max(bytes.Count(data, []byte("]"))-1, 0), maxWireEdges))
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
 		i++
@@ -38,7 +41,7 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 		for {
 			t, j, ok := parseTriple(data, i)
 			if !ok {
-				return tripleError(len(out))
+				return fmt.Errorf("edges[%d]: want [u, v, w] integer triple", len(out))
 			}
 			out = append(out, t)
 			i = skipSpace(data, j)
@@ -54,14 +57,10 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 		}
 	}
 	if skipSpace(data, i) != len(data) {
-		return fmt.Errorf("edges: unexpected data after the list")
+		return errors.New("edges: unexpected data after the list")
 	}
 	*l = out
 	return nil
-}
-
-func tripleError(i int) error {
-	return fmt.Errorf("edges[%d]: want [u, v, w] integer triple", i)
 }
 
 // parseTriple parses "[a, b, c]" at data[i:] and returns the triple and
