@@ -18,10 +18,11 @@
 // With -store-dir the result cache is disk-backed and crash-safe
 // (internal/store, DESIGN.md §8): completed solves are written through to
 // content-addressed files, a restart replays the store's index — verifying
-// checksums and quarantining corrupt entries — and pre-warms the memory
-// cache, so previously solved instances are served byte-identically with no
-// new solves. -store-max-bytes bounds the on-disk size via LRU eviction.
-// Warm reads are served zero-copy from mmapped entry files. With
+// checksums and quarantining corrupt entries — and a memory-cache miss reads
+// the store before solving, so previously solved instances are served
+// byte-identically with no new solves. -store-max-bytes bounds the on-disk
+// size via LRU eviction. Entry files are mmapped and checksum-verified
+// once; a job served from the store keeps its own copy of the result. With
 // -store-read-only the directory is never mutated, so N shards can serve
 // one warm store concurrently (behind ecssrouter, say) while sharing the
 // mapped pages.

@@ -90,3 +90,31 @@ func TestE12Small(t *testing.T) {
 		}
 	}
 }
+
+// TestTablesIdenticalAcrossWorkers is the reproduction's determinism
+// contract: every E1–E12 table renders byte-identically whether its cells
+// run on one worker or on four.
+func TestTablesIdenticalAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders all twelve tables twice")
+	}
+	defer func(w int) { Workers = w }(Workers)
+	render := func(workers int) []string {
+		Workers = workers
+		var out []string
+		for _, sp := range Specs() {
+			tb, err := sp.Run(1)
+			if err != nil {
+				t.Fatalf("%s at %d workers: %v", sp.ID, workers, err)
+			}
+			out = append(out, tb.Render())
+		}
+		return out
+	}
+	one, four := render(1), render(4)
+	for i, sp := range Specs() {
+		if one[i] != four[i] {
+			t.Errorf("%s renders differently at 1 and 4 workers:\n%s\nvs\n%s", sp.ID, one[i], four[i])
+		}
+	}
+}

@@ -110,10 +110,10 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"noseparator",
 		"x:",
-		"x:p=0.5",         // modifier before any mode
-		"x:error,p=2",     // p out of range
+		"x:p=0.5",     // modifier before any mode
+		"x:error,p=2", // p out of range
 		"x:error,count=-1",
-		"x:delay",         // delay without duration
+		"x:delay", // delay without duration
 		"x:delay=zzz",
 		"x:error;x:panic", // duplicate point
 		"x:error,whatever=1",

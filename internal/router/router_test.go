@@ -208,9 +208,13 @@ func TestRetryFailsOverTo5xxFreeReplica(t *testing.T) {
 func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
+	// hits counts routed solves only: the router's event aggregator also
+	// dials every shard (GET /v1/events), whatever its breaker state.
 	var hits atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
+		if r.URL.Path == "/v1/solve" {
+			hits.Add(1)
+		}
 		if failing.Load() {
 			writeJSON(w, http.StatusBadGateway, map[string]string{"error": "down"})
 			return
@@ -239,34 +243,46 @@ func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 			t.Fatalf("request %d not failed over: %d", i, code)
 		}
 	}
-	if got := rt.shards[0].stats(); got.State != StateEjected {
-		t.Fatalf("flaky shard state %s after repeated failures, want ejected", got.State)
+	// While ejected, no traffic reaches it. The ejection window is held
+	// open across the check, so three round trips need not finish inside
+	// the 30 ms backoff; the breaker's own deadline is restored afterwards.
+	// Only eligible() moves an ejected shard to half-open, and nothing
+	// calls it between the last post and the lock below.
+	sh := rt.shards[0]
+	sh.mu.Lock()
+	state, until := sh.state, sh.until
+	sh.until = time.Now().Add(time.Hour)
+	sh.mu.Unlock()
+	if state != StateEjected {
+		t.Fatalf("flaky shard state %s after repeated failures, want ejected", state)
 	}
 	if rt.Stats().Ejections == 0 {
 		t.Fatal("no ejection counted")
 	}
-	// While ejected, no traffic reaches it.
 	before := hits.Load()
 	for i := 0; i < 3; i++ {
-		postVia(t, rt, body)
+		if code, out, _ := postVia(t, rt, body); code != http.StatusOK || out["job_id"] != "good" {
+			t.Fatalf("request %d while ejected: code=%d out=%v, want 200 from good shard", i, code, out)
+		}
 	}
 	if hits.Load() != before {
 		t.Fatalf("ejected shard still receiving traffic (%d -> %d)", before, hits.Load())
 	}
+	if got := sh.stats(); got.State != StateEjected {
+		t.Fatalf("flaky shard state %s during the check, want ejected", got.State)
+	}
+	sh.mu.Lock()
+	sh.until = until
+	sh.mu.Unlock()
 	// Heal the backend, wait out the backoff: the half-open trial restores it.
 	failing.Store(false)
-	time.Sleep(2 * cfg.EjectBackoff)
-	var healed bool
-	for i := 0; i < 10; i++ {
-		postVia(t, rt, body)
-		if rt.shards[0].stats().State == StateHealthy {
-			healed = true
-			break
+	deadline := time.Now().Add(5 * time.Second)
+	for sh.stats().State != StateHealthy {
+		if time.Now().After(deadline) {
+			t.Fatalf("flaky shard never recovered: %+v", sh.stats())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if !healed {
-		t.Fatalf("flaky shard never recovered: %+v", rt.shards[0].stats())
+		postVia(t, rt, body)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"twoecss/internal/faults"
 	"twoecss/internal/graph"
 	"twoecss/internal/obs"
-	"twoecss/internal/store"
 	"twoecss/internal/tap"
 )
 
@@ -193,35 +192,20 @@ type JobResponse struct {
 }
 
 // JobInfo returns the current snapshot of a job by id. The result bytes
-// are safe to hold indefinitely: a store-backed job's result is copied out
-// of the pinned region, since the caller holds no pin of its own. The HTTP
-// handlers avoid that copy by retaining the job's view across the response
-// write instead.
+// are immutable and safe to hold indefinitely.
 func (s *Service) JobInfo(id string) (JobResponse, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
+	s.mu.Unlock()
 	if !ok {
 		return JobResponse{}, false
 	}
-	r := s.snapshotLocked(j)
-	if j.view.Mapped() {
-		r.Result = slices.Clone(r.Result)
-	}
-	return r, true
+	return s.snapshot(j), true
 }
 
 func (s *Service) snapshot(j *Job) JobResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.snapshotLocked(j)
-	if j.view.Mapped() {
-		r.Result = slices.Clone(r.Result)
-	}
-	return r
-}
-
-func (s *Service) snapshotLocked(j *Job) JobResponse {
 	r := JobResponse{JobID: j.id, Status: j.status, Phase: j.phase, RequestID: j.req}
 	if j.err != nil {
 		r.Error = j.err.Error()
@@ -345,15 +329,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.Abandon(job)
 		}
 	}
-	// Snapshot with the job's store view pinned across the response write:
-	// the JSON encoder then reads the result straight out of the mapped
-	// region — no payload copy — even if the entry is evicted mid-write.
-	s.mu.Lock()
-	resp := s.snapshotLocked(job)
-	v := job.view
-	v.Retain()
-	s.mu.Unlock()
-	defer v.Release()
+	resp := s.snapshot(job)
 	resp.Cached = hit
 	// The job may have been created by an earlier request; this response
 	// still belongs to the submitting request's trace.
@@ -365,24 +341,12 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	// Like handleSolve: pin the job's store view across the write instead
-	// of copying the result out of the mapped region.
 	id := r.PathValue("id")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	var resp JobResponse
-	var v store.View
-	if ok {
-		resp = s.snapshotLocked(j)
-		v = j.view
-		v.Retain()
-	}
-	s.mu.Unlock()
+	resp, ok := s.JobInfo(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	defer v.Release()
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -243,8 +243,8 @@ func (s *Service) handleJobProfile(w http.ResponseWriter, r *http.Request) {
 // GET /v1/jobs/{id}/trace.
 type TraceResponse struct {
 	JobID string `json:"job_id"`
-	// RequestID is the id the job's trace began under ("" for jobs adopted
-	// at pre-warm, or when the trace has been evicted).
+	// RequestID is the id the job's trace began under ("" for jobs submitted
+	// without one, or when the trace has been evicted).
 	RequestID string `json:"request_id,omitempty"`
 	// Complete reports whether the trace ends in a terminal event. False
 	// also covers evicted traces: Events then narrates less than the whole

@@ -46,10 +46,10 @@ type Config struct {
 	// convention).
 	NetWorkers int
 	// Store, when non-nil, is the disk-backed result store the in-memory
-	// cache writes through to. On New the most recently used entries
-	// pre-warm the memory cache (up to CacheEntries); memory-cache misses
-	// fall back to the store before solving. The service takes ownership:
-	// Drain flushes pending writes and closes it.
+	// cache writes through to. Memory-cache misses fall back to the store
+	// before solving, so a restart serves stored results on first request,
+	// without a solve. The service takes ownership: Drain flushes pending
+	// writes and closes it.
 	Store *store.Store
 	// Obs is the process observability hub the service publishes lifecycle
 	// events and metrics into (nil: the service creates a private one, so
@@ -130,19 +130,14 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	// resultJSON is the canonical wire encoding, marshaled once and shared
-	// by every requester. The *ecss.Result itself is not retained: its edge
-	// ids are relative to the (possibly pooled-twin) graph the solve ran
-	// on, not necessarily the submitter's.
+	// resultJSON is the canonical wire encoding, marshaled once (or copied
+	// once out of the store) and shared by every requester; it is never
+	// mutated. The *ecss.Result itself is not retained: its edge ids are
+	// relative to the (possibly pooled-twin) graph the solve ran on, not
+	// necessarily the submitter's.
 	resultJSON []byte
-	// view pins the store-backed bytes resultJSON aliases on jobs adopted
-	// from the disk store (zero for solved jobs, whose bytes are private).
-	// The job record owns the pin: it is released — and resultJSON cleared
-	// — when the job leaves the jobs table (retire overflow). Handlers that
-	// write the bytes after dropping s.mu take their own Retain.
-	view store.View
-	err  error
-	done chan struct{}
+	err        error
+	done       chan struct{}
 	// profile is the engine round profile of the job's solve (nil while the
 	// job is queued or running, for jobs served without a solve, and with
 	// profiling disabled). Retained alongside the trace until the job record
@@ -176,7 +171,7 @@ type Stats struct {
 	Retries         int64 `json:"retries"`
 	PanicsRecovered int64 `json:"panics_recovered"`
 	// CacheHits counts submissions served from the in-memory result cache
-	// (including entries pre-warmed from the store); Coalesced counts
+	// (including results an earlier store hit adopted); Coalesced counts
 	// submissions attached to an identical in-flight job; StoreHits counts
 	// submissions served by reading the disk store on a memory-cache miss.
 	CacheHits int64 `json:"cache_hits"`
@@ -278,10 +273,9 @@ type Service struct {
 	testJobStart func(*Job)
 }
 
-// New starts a service with cfg's sizing and its worker goroutines. With a
-// configured Store, the memory cache is pre-warmed from the store's most
-// recently used entries so a restart resumes at a warm hit ratio instead of
-// a cold one.
+// New starts a service with cfg's sizing and its worker goroutines. The
+// memory cache starts empty; with a configured Store, each stored result
+// enters it on its first request (see SubmitWith).
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -298,17 +292,6 @@ func New(cfg Config) *Service {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.registerMetrics()
-	if s.store != nil && cfg.CacheEntries > 0 {
-		// Recent returns MRU-first; insert oldest-first so the memory
-		// cache's LRU order mirrors the store's.
-		warm := s.store.Recent(cfg.CacheEntries)
-		s.mu.Lock()
-		for i := len(warm) - 1; i >= 0; i-- {
-			e := warm[i]
-			s.adoptStoredLocked(Key(e.Key), e.GraphHash, e.View, "")
-		}
-		s.mu.Unlock()
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -316,12 +299,11 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// adoptStoredLocked wraps a pinned store view in a terminal job —
-// addressable via JobInfo, served from the memory cache — without a solve
-// and, on the mmap path, without copying the payload: the job takes
-// ownership of the view's pin. req is the request id of the triggering
-// submission ("" for pre-warm adoption at startup). Caller holds s.mu.
-func (s *Service) adoptStoredLocked(key Key, ghash [32]byte, v store.View, req string) *Job {
+// adoptStoredLocked wraps a result read from the store in a terminal job —
+// addressable via JobInfo, served from the memory cache — without a solve.
+// raw is the job's own copy of the stored payload. req is the request id of
+// the triggering submission. Caller holds s.mu.
+func (s *Service) adoptStoredLocked(key Key, ghash [32]byte, raw []byte, req string) *Job {
 	s.seq++
 	now := time.Now()
 	j := &Job{
@@ -333,8 +315,7 @@ func (s *Service) adoptStoredLocked(key Key, ghash [32]byte, v store.View, req s
 		created:    now,
 		started:    now,
 		finished:   now,
-		resultJSON: v.Bytes(),
-		view:       v,
+		resultJSON: raw,
 		done:       closedDone,
 	}
 	s.jobs[j.id] = j
@@ -412,46 +393,27 @@ func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job,
 		s.stats.RejectedDraining++
 		return nil, false, ErrDraining
 	}
-	if j, ok := s.inflight[key]; ok {
-		s.stats.Coalesced++
-		s.attachLocked(j, adm)
-		return j, true, nil
-	}
-	if j, ok := s.cache.get(key); ok {
-		s.stats.CacheHits++
-		s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
+	if j := s.hitLocked(key, adm); j != nil {
 		return j, true, nil
 	}
 	if s.store != nil {
 		// The store lookup touches disk; release the admission mutex
 		// around it so concurrent Submits, Stats, and progress callbacks
 		// are never serialized behind a file read, then re-run the
-		// admission checks — the world may have moved meanwhile. A hit
-		// returns a pinned zero-copy view; every path that does not adopt
-		// it must release the pin.
+		// admission checks — the world may have moved meanwhile.
 		s.mu.Unlock()
-		v, found := s.store.GetView([32]byte(key))
+		raw, found := s.store.Get([32]byte(key))
 		s.mu.Lock()
 		if s.draining {
-			v.Release()
 			s.stats.RejectedDraining++
 			return nil, false, ErrDraining
 		}
-		if j, ok := s.inflight[key]; ok {
-			v.Release()
-			s.stats.Coalesced++
-			s.attachLocked(j, adm)
-			return j, true, nil
-		}
-		if j, ok := s.cache.get(key); ok {
-			v.Release()
-			s.stats.CacheHits++
-			s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
+		if j := s.hitLocked(key, adm); j != nil {
 			return j, true, nil
 		}
 		if found {
 			s.stats.StoreHits++
-			return s.adoptStoredLocked(key, ghash, v, adm.RequestID), true, nil
+			return s.adoptStoredLocked(key, ghash, raw, adm.RequestID), true, nil
 		}
 	}
 	now := time.Now()
@@ -495,6 +457,22 @@ func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job,
 	// precedes the job's own job.started on the bus.
 	s.emit(obs.Event{Type: obs.EvJobAdmitted, Job: j.id, Req: j.req, Class: adm.Priority.String(), Key: keyPrefix(key)})
 	return j, false, nil
+}
+
+// hitLocked serves a submission from an identical in-flight job or from
+// the memory cache, returning nil when neither holds key. Caller holds s.mu.
+func (s *Service) hitLocked(key Key, adm Admit) *Job {
+	if j, ok := s.inflight[key]; ok {
+		s.stats.Coalesced++
+		s.attachLocked(j, adm)
+		return j
+	}
+	if j, ok := s.cache.get(key); ok {
+		s.stats.CacheHits++
+		s.emit(obs.Event{Type: obs.EvJobCached, Job: j.id, Req: adm.RequestID, Key: keyPrefix(key), Terminal: true})
+		return j
+	}
+	return nil
 }
 
 // attachLocked records a coalescing submitter's cancellation interest on an
@@ -774,20 +752,11 @@ func retryable(err error) bool {
 }
 
 // retire keeps a terminal, uncached job addressable for a while, dropping
-// the oldest such job beyond the retention bound. Dropping a job releases
-// its store view pin (the job record owns it) and clears the aliasing
-// result bytes, so a stale *Job held across the drop can never read an
-// unmapped region — it just snapshots without a result. Caller holds s.mu.
+// the oldest such job beyond the retention bound. Caller holds s.mu.
 func (s *Service) retire(j *Job) {
 	s.retired = append(s.retired, j.id)
 	for len(s.retired) > retainFinished {
-		id := s.retired[0]
-		if old, ok := s.jobs[id]; ok && old.view.Mapped() {
-			old.resultJSON = nil
-			old.view.Release()
-			old.view = store.View{}
-		}
-		delete(s.jobs, id)
+		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
 	}
 }

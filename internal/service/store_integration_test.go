@@ -13,6 +13,7 @@ import (
 
 	"twoecss/internal/ecss"
 	"twoecss/internal/faults"
+	"twoecss/internal/obs"
 	"twoecss/internal/store"
 )
 
@@ -69,14 +70,70 @@ func TestRestartServesFromStoreEndToEnd(t *testing.T) {
 	if st.Solves != 0 {
 		t.Fatalf("warm restart ran %d solves, want 0 (stats %+v)", st.Solves, st)
 	}
-	if st.CacheHits != instances {
-		t.Fatalf("warm restart served %d cache hits, want %d (pre-warm)", st.CacheHits, instances)
+	if st.StoreHits != instances {
+		t.Fatalf("warm restart served %d store hits, want %d (one per instance)", st.StoreHits, instances)
 	}
 }
 
-// TestStoreHitWithoutMemoryCache pins the disk-fallback path: with the
-// memory cache disabled there is no pre-warm, so a warm restart must serve
-// via store.Get and count StoreHits.
+// TestRestartAdoptsOnDemand: a service restarted on a warm store starts
+// with nothing in memory — no cached entry, no job record, no job.cached
+// event — and adopts a stored result only when a request asks for it. The
+// adopted job holds its own copy of the bytes, so its result outlives the
+// store, which Drain closes.
+func TestRestartAdoptsOnDemand(t *testing.T) {
+	dir := t.TempDir()
+	g := testGraph(t, 1)
+	s1 := New(Config{Workers: 1, Store: openStore(t, dir, 0)})
+	j1, _, err := s1.Submit(g, ecss.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j1)
+	want := s1.snapshot(j1).Result
+	if len(want) == 0 {
+		t.Fatal("cold solve produced no result")
+	}
+	drain(t, s1)
+
+	o := obs.New()
+	s2 := New(Config{Workers: 1, Store: openStore(t, dir, 0), Obs: o})
+	if n := s2.Stats().CacheEntries; n != 0 {
+		t.Fatalf("restart holds %d cache entries before any request, want 0", n)
+	}
+	srv := httptest.NewServer(s2.Handler())
+	resp, err := srv.Client().Get(srv.URL + "/v1/jobs/j00000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/jobs/j00000001 before any request: %d, want 404", resp.StatusCode)
+	}
+	sub := o.Bus.Subscribe(obs.SubOptions{Types: []string{obs.EvJobCached}, Replay: true})
+	cached := len(sub.C())
+	sub.Close()
+	if cached != 0 {
+		t.Fatalf("restart published %d job.cached events before any request, want 0", cached)
+	}
+
+	j2, hit, err := s2.Submit(g, ecss.DefaultOptions())
+	if err != nil || !hit {
+		t.Fatalf("warm submit: hit=%v err=%v", hit, err)
+	}
+	drain(t, s2)
+	info, ok := s2.JobInfo(j2.ID())
+	if !ok || !bytes.Equal(info.Result, want) {
+		t.Fatalf("store-served result after Drain closed the store: ok=%v, bytes differ from the solve", ok)
+	}
+	if st := s2.Stats(); st.StoreHits != 1 || st.Solves != 0 {
+		t.Fatalf("stats %+v, want exactly 1 store hit and no solve", st)
+	}
+}
+
+// TestStoreHitWithoutMemoryCache pins the disk-fallback path with the
+// memory cache disabled: a warm restart must serve via store.Get and count
+// StoreHits.
 func TestStoreHitWithoutMemoryCache(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraph(t, 1)

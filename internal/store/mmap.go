@@ -58,11 +58,11 @@ type mapping struct {
 }
 
 // View is a pinned read of one stored entry. On the mmap path Bytes aliases
-// the mapped file image — zero copies between disk and the response writer —
-// and stays valid until Release even if the entry is evicted or quarantined
+// the mapped file image — no copy between disk and the caller — and stays
+// valid until Release even if the entry is evicted or quarantined
 // meanwhile. On the fallback path the bytes are a private heap copy and the
-// pin is a no-op. The zero View is valid: Bytes returns nil and
-// Retain/Release do nothing, so `defer v.Release()` is always safe.
+// pin is a no-op. The zero View is valid: Bytes returns nil and Release
+// does nothing, so `defer v.Release()` is always safe.
 type View struct {
 	m   *mapping
 	img []byte // full file image (header + payload)
@@ -80,19 +80,6 @@ func (v View) Bytes() []byte {
 // Mapped reports whether the view aliases an mmapped region (and therefore
 // must be released) rather than owning a private heap copy.
 func (v View) Mapped() bool { return v.m != nil }
-
-// Retain adds another pin, so a holder can hand the bytes to a second
-// consumer (an HTTP response writer, say) that releases independently.
-func (v View) Retain() {
-	if v.m == nil {
-		return
-	}
-	s := v.m.s
-	s.mu.Lock()
-	v.m.refs++
-	s.stats.Mmap.Pins++
-	s.mu.Unlock()
-}
 
 // Release drops one pin; call it exactly once per pinned view. When the
 // last pin on a doomed mapping drops, the region is munmapped outside the
@@ -124,18 +111,11 @@ func (v View) Release() {
 // access time of a hit feeds LRU eviction. No lock is held across file I/O
 // or hashing, and a warm hit performs no I/O and no payload allocation at
 // all — it is a refcount bump on the existing mapping.
-func (s *Store) GetView(key Key) (View, bool) { return s.getView(key, true) }
-
-// getView implements GetView; Recent passes serving=false to skip the
-// hit/miss and access-time accounting (pre-warm reads are not serving
-// decisions).
-func (s *Store) getView(key Key, serving bool) (View, bool) {
+func (s *Store) GetView(key Key) (View, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
 	if !ok {
-		if serving {
-			s.stats.Misses++
-		}
+		s.stats.Misses++
 		s.mu.Unlock()
 		return View{}, false
 	}
@@ -143,17 +123,12 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 		// Warm path: already mapped and verified; pinning is bookkeeping.
 		m.refs++
 		s.stats.Mmap.Pins++
-		var now int64
-		if serving {
-			now = s.stampLocked()
-			e.atime = now
-			s.ll.MoveToFront(e.el)
-			s.stats.Hits++
-		}
+		now := s.stampLocked()
+		e.atime = now
+		s.ll.MoveToFront(e.el)
+		s.stats.Hits++
 		s.mu.Unlock()
-		if now != 0 {
-			s.recordTouch(key, now)
-		}
+		s.recordTouch(key, now)
 		return View{m: m, img: m.data}, true
 	}
 	// Cold path: pin the entry so eviction defers the unlink to us, then
@@ -176,9 +151,7 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 	}
 	var unmap []byte
 	if err != nil {
-		if serving {
-			s.stats.Misses++
-		}
+		s.stats.Misses++
 		if sameEntry {
 			// Same transient-vs-real ambiguity as any failed read:
 			// quarantine for the reverifier to adjudicate.
@@ -217,14 +190,12 @@ func (s *Store) getView(key Key, serving bool) (View, bool) {
 	} else {
 		s.stats.Mmap.Fallbacks++
 	}
+	s.stats.Hits++
 	var now int64
-	if serving {
-		s.stats.Hits++
-		if sameEntry {
-			now = s.stampLocked()
-			e.atime = now
-			s.ll.MoveToFront(e.el)
-		}
+	if sameEntry {
+		now = s.stampLocked()
+		e.atime = now
+		s.ll.MoveToFront(e.el)
 	}
 	s.mu.Unlock()
 	if unlink != "" {

@@ -74,10 +74,9 @@ func TestGetViewWarmZeroCopy(t *testing.T) {
 	}
 }
 
-// TestWarmGetViewAllocs is the acceptance gate: a warm hit of a multi-MB
-// entry on the mmap path performs zero heap allocations — in particular
-// nothing payload-sized. It uses the non-serving getView so the off-goroutine
-// writer (touch appends) cannot perturb the process-wide malloc counter.
+// TestWarmGetViewAllocs is the acceptance gate: a warm serving hit of a
+// multi-MB entry on the mmap path — pin, LRU bump, touch record enqueued —
+// performs zero heap allocations, in particular nothing payload-sized.
 func TestWarmGetViewAllocs(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), 0)
 	defer s.Close()
@@ -91,9 +90,9 @@ func TestWarmGetViewAllocs(t *testing.T) {
 	}
 	v.Release()
 	allocs := testing.AllocsPerRun(200, func() {
-		w, ok := s.getView(k, false)
+		w, ok := s.GetView(k)
 		if !ok {
-			t.Fatal("warm getView miss")
+			t.Fatal("warm GetView miss")
 		}
 		if len(w.Bytes()) != 4<<20 {
 			t.Fatal("short view")
@@ -400,7 +399,8 @@ func TestTouchDropsCounted(t *testing.T) {
 
 // TestTortureConcurrentMultiMB is the -race gate from the acceptance
 // criteria: concurrent GetView/Get, re-Puts, evictions (tight byte budget),
-// Recent scans, and Reverify passes over multi-megabyte entries.
+// whole-key-set GetView sweeps, and Reverify passes over multi-megabyte
+// entries.
 func TestTortureConcurrentMultiMB(t *testing.T) {
 	const mb = 1 << 20
 	s, err := OpenWith(t.TempDir(), Options{MaxBytes: 4 * mb})
@@ -455,7 +455,7 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // scanner + reverifier
+	go func() { // sweeper + reverifier
 		defer wg.Done()
 		for {
 			select {
@@ -463,8 +463,10 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 				return
 			default:
 			}
-			for _, e := range s.Recent(nKeys) {
-				e.View.Release()
+			for _, k := range keys {
+				if v, ok := s.GetView(k); ok {
+					v.Release()
+				}
 			}
 			s.Reverify()
 		}

@@ -23,8 +23,7 @@ import (
 // Stats counts store traffic. It is embedded in the service's /v1/stats
 // payload, so the field set is part of the operational API.
 type Stats struct {
-	// Hits and Misses count Get lookups (pre-warm reads via Recent are not
-	// counted: they are not serving decisions).
+	// Hits and Misses count lookups, through GetView or Get.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts entries accepted for write; DupPuts counts writes skipped
@@ -235,7 +234,7 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) indexPath() string  { return filepath.Join(s.dir, "index.log") }
+func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 func (s *Store) objPath(k Key) string {
 	return filepath.Join(s.dir, "objects", hex.EncodeToString(k[:])+".res")
 }
@@ -476,9 +475,10 @@ func parseIndexLine(line string) (k Key, op string, atime int64, ok bool) {
 	return k, op, atime, true
 }
 
-// Get returns the stored payload for key as a private copy, or ok=false on
-// a miss — GetView semantics with a payload-sized allocation on the mmap
-// path. Callers that can serve and release should prefer GetView.
+// Get returns the stored payload for key as a private copy that stays
+// valid after eviction or Close, or ok=false on a miss: a GetView whose pin
+// is released once the payload is copied out (the heap fallback's bytes are
+// already private and are returned as is).
 func (s *Store) Get(key Key) (payload []byte, ok bool) {
 	v, ok := s.GetView(key)
 	if !ok {
@@ -812,48 +812,6 @@ func (s *Store) emitEvictPressure(ev evictResult) {
 	}
 	s.bus.Publish(obs.Event{Type: obs.EvStoreEvictPressure,
 		Bytes: ev.reclaimed, Count: ev.count, Budget: s.maxBytes})
-}
-
-// Entry is one live record surfaced by Recent for cache pre-warming.
-type Entry struct {
-	Key       Key
-	GraphHash [32]byte
-	// Payload aliases View.Bytes(): valid until the view is released.
-	Payload []byte
-	// View is the pinned verified read the payload came from. The caller
-	// owns it and must Release it (directly, or by handing the view on to
-	// whoever retains the payload).
-	View View
-}
-
-// Recent returns up to n live entries, most recently used first, each with
-// a pinned verified view (corrupt files are quarantined and skipped,
-// exactly as on Get, but without hit/miss or access-time accounting: a
-// pre-warm read is not a serving decision). The service uses it to pre-warm
-// its in-memory cache on startup.
-func (s *Store) Recent(n int) []Entry {
-	s.mu.Lock()
-	keys := make([]Key, 0, s.ll.Len())
-	for el := s.ll.Front(); el != nil && len(keys) < n; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
-	}
-	s.mu.Unlock()
-	// Reads run key-by-key with no lock held; a key evicted or quarantined
-	// since the snapshot simply misses and is skipped.
-	out := make([]Entry, 0, len(keys))
-	for _, k := range keys {
-		v, ok := s.getView(k, false)
-		if !ok {
-			continue
-		}
-		h, err := DecodeHeader(v.img)
-		if err != nil { // unreachable: the view is verified
-			v.Release()
-			continue
-		}
-		out = append(out, Entry{Key: k, GraphHash: h.GraphHash, Payload: v.Bytes(), View: v})
-	}
-	return out
 }
 
 // Stats returns a snapshot of the store counters.

@@ -49,13 +49,21 @@ func TestPutGetRoundTrip(t *testing.T) {
 	defer s.Close()
 	putN(t, s, 4)
 	for i := 0; i < 4; i++ {
-		k, _, _ := mkKey(i)
+		k, gh, _ := mkKey(i)
 		got, ok := s.Get(k)
 		if !ok {
 			t.Fatalf("entry %d missing", i)
 		}
 		if !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("entry %d payload mismatch: %q", i, got)
+		}
+		// The object file's header persists the instance's graph hash.
+		img, err := os.ReadFile(s.objPath(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := DecodeHeader(img); err != nil || h.GraphHash != gh {
+			t.Fatalf("entry %d header: err=%v graph hash %x, want %x", i, err, h.GraphHash[:4], gh[:4])
 		}
 	}
 	if k, _, _ := mkKey(99); s.Contains(k) {
@@ -112,35 +120,6 @@ func TestReopenServesIdenticalPayloads(t *testing.T) {
 		if !ok || !bytes.Equal(got, payloadFor(i)) {
 			t.Fatalf("entry %d after reopen: ok=%v payload=%q", i, ok, got)
 		}
-	}
-}
-
-func TestRecentOrderAndHeaderFields(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	putN(t, s, 3)
-	// Touch entry 0 so it becomes most recent.
-	k0, gh0, _ := mkKey(0)
-	if _, ok := s.Get(k0); !ok {
-		t.Fatal("entry 0 missing")
-	}
-	got := s.Recent(2)
-	if len(got) != 2 {
-		t.Fatalf("Recent(2) returned %d entries", len(got))
-	}
-	for _, e := range got {
-		defer e.View.Release()
-	}
-	if got[0].Key != k0 || got[0].GraphHash != gh0 {
-		t.Fatalf("most recent entry is %x (ghash %x), want entry 0", got[0].Key[:4], got[0].GraphHash[:4])
-	}
-	if !bytes.Equal(got[0].Payload, payloadFor(0)) {
-		t.Fatal("Recent payload mismatch")
-	}
-	// Recent reads must not count as serving hits (putN made no Gets, the
-	// touch above made one).
-	if st := s.Stats(); st.Hits != 1 {
-		t.Fatalf("hits %d after Recent, want 1", st.Hits)
 	}
 }
 
