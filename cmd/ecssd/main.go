@@ -1,7 +1,7 @@
 // Command ecssd is the long-running 2-ECSS solver service: it fronts the
 // Theorem 1.1 pipeline with a bounded job queue, a solver worker pool
-// reusing pooled CONGEST networks, and a content-addressed result cache
-// (internal/service, DESIGN.md §7), exposed as an HTTP JSON API:
+// running each solve on its own CONGEST network, and a content-addressed
+// result cache (internal/service, DESIGN.md §7), exposed as an HTTP JSON API:
 //
 //	POST /v1/solve     submit a solve ({"graph":{"n":..,"edges":[[u,v,w],..]},
 //	                   "options":{"eps":..,"variant":..,"mst":..,"root":..},
@@ -11,7 +11,7 @@
 //	GET  /v1/jobs/{id}/trace   recorded per-job event trace (JSON)
 //	GET  /v1/jobs/{id}/profile engine round profile and per-stage costs (JSON)
 //	GET  /v1/events    SSE firehose of every lifecycle event (?types= filter)
-//	GET  /v1/stats     queue/cache/pool counters
+//	GET  /v1/stats     queue/cache counters
 //	GET  /metrics      Prometheus text exposition
 //	GET  /healthz      liveness
 //
@@ -28,8 +28,7 @@
 // mapped pages.
 //
 // SIGINT/SIGTERM triggers a graceful drain: admission stops (503), queued
-// jobs finish, the network pool is released, pending store writes are
-// flushed, then the process exits 0.
+// jobs finish, pending store writes are flushed, then the process exits 0.
 //
 // For chaos testing, -faults (or the ECSS_FAULTS environment variable; the
 // flag wins) arms the internal/faults injection plan — see that package for
@@ -39,7 +38,7 @@
 //
 // Usage:
 //
-//	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512] [-pool N]
+//	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512]
 //	      [-net-workers 1] [-drain-timeout 30s] [-debug-addr ADDR]
 //	      [-store-dir DIR] [-store-max-bytes 268435456] [-reverify 0]
 //	      [-profile-rounds 512] [-slo-latency 2s]
@@ -80,7 +79,6 @@ func run() error {
 	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
 	workers := flag.Int("workers", 0, "solver workers (<=0: GOMAXPROCS)")
 	cache := flag.Int("cache", 512, "result cache entries")
-	pool := flag.Int("pool", 0, "idle network pool entries (<=0: workers)")
 	netWorkers := flag.Int("net-workers", 1, "engine workers per solve")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	storeDir := flag.String("store-dir", "", "disk-backed result store directory (empty: results are not persisted)")
@@ -135,7 +133,6 @@ func run() error {
 		QueueDepth:    *queue,
 		Workers:       *workers,
 		CacheEntries:  *cache,
-		PoolEntries:   *pool,
 		NetWorkers:    *netWorkers,
 		Store:         st, // service owns it: Drain flushes and closes
 		Obs:           o,
@@ -167,8 +164,8 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := svc.Config()
-	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d pool=%d net-workers=%d)",
-		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.PoolEntries, cfg.NetWorkers)
+	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d net-workers=%d)",
+		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.NetWorkers)
 
 	select {
 	case err := <-errCh:

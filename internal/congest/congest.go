@@ -144,10 +144,10 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // ResetAccounting zeroes the Network's cost accounting — stats, recorded
 // phase spans, and any phases left open — while keeping the engine scratch
-// and the persistent worker pool warm. It exists for callers that reuse one
-// Network across independent solves (the service layer's NetworkPool): each
-// solve then reports its own round and message bill as if the Network were
-// fresh. It must not be called concurrently with Run.
+// and the persistent worker pool warm. It exists for callers that run
+// repeated solves on one Network, such as the benchmark's armed/disarmed
+// observer pairs: each solve then reports its own round and message bill
+// as if the Network were fresh. It must not be called concurrently with Run.
 func (n *Network) ResetAccounting() {
 	n.stats = Stats{}
 	n.phases = n.phases[:0]

@@ -17,7 +17,7 @@ package congest
 // each sample describes exactly one round.
 type RoundSample struct {
 	// Round is the Network's SimulatedRounds counter value for this round
-	// (1-based within the accounting epoch; ResetAccounting restarts it).
+	// (1-based on a fresh Network; ResetAccounting restarts it).
 	Round int64
 	// Active is the number of nodes scheduled this round (the worklist
 	// size: active nodes plus nodes holding undelivered messages).

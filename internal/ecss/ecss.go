@@ -88,8 +88,9 @@ var ErrNot2EC = errors.New("ecss: input graph is not 2-edge-connected")
 // Solve runs the full pipeline of Theorem 1.1 on g and returns the solution
 // together with the network used (for round accounting inspection). The
 // caller owns the returned network and should Close it when done (see the
-// congest package docs on the worker-pool lifecycle). Long-running callers
-// that reuse networks across solves use SolveOn directly.
+// congest package docs on the worker-pool lifecycle). Callers that need the
+// network while it solves — to arm a round observer, or to read phase spans
+// from Progress — use SolveOn directly.
 func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 	net := congest.NewNetwork(g)
 	res, err := SolveOn(net, opt)
@@ -101,11 +102,11 @@ func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 }
 
 // SolveOn runs the full pipeline on a caller-provided network over the
-// instance net.G — typically one taken from a service NetworkPool whose
-// engine scratch and worker pool are already warm. The caller retains
-// ownership of net. Result.Stats is the cost delta of this call, so both
-// fresh and reused networks report per-solve bills; Result.Stats.
-// MaxEdgeWords is the network-lifetime maximum unless the caller calls
+// instance net.G — the service builds one per solve attempt, arms its
+// round observer, and reads its phase spans. The caller retains ownership
+// of net. Result.Stats is the cost delta of this call, so a network that
+// already ran reports a per-solve bill too; Result.Stats.MaxEdgeWords is
+// the network-lifetime maximum unless the caller calls
 // net.ResetAccounting between solves.
 //
 // Each stage runs inside a network phase named after it, so the stage

@@ -309,12 +309,6 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Eccentricity returns the maximum hop distance from src, or an error if g
-// is disconnected.
-func (g *Graph) Eccentricity(src int) (int, error) {
-	return g.eccentricityInto(src, &BFSScratch{})
-}
-
 func (g *Graph) eccentricityInto(src int, s *BFSScratch) (int, error) {
 	dist := g.DistancesInto(src, s)
 	ecc := int32(0)

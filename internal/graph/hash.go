@@ -11,9 +11,9 @@ import (
 // they have the same vertex count and the same multiset of weighted
 // undirected edges, independent of edge insertion order and of the stored
 // orientation of each edge. The service layer uses it as the
-// content-addressed cache and network-pool key (DESIGN.md §7), so the
-// digest must be deterministic across processes: it is a SHA-256 over a
-// fixed-width little-endian encoding of (N, M, sorted normalized edges).
+// content-addressed cache key (DESIGN.md §7), so the digest must be
+// deterministic across processes: it is a SHA-256 over a fixed-width
+// little-endian encoding of (N, M, sorted normalized edges).
 //
 // Note the digest identifies the edge *multiset*, not the edge numbering:
 // two graphs with equal hash may assign different ids to the same edge.

@@ -8,44 +8,6 @@ import (
 	"twoecss/internal/graph"
 )
 
-func TestKeyedCombineMin(t *testing.T) {
-	net, rt := testNet(t, 21, 50)
-	rng := rand.New(rand.NewSource(77))
-	perNode := make([]map[congest.Word]congest.Word, 50)
-	want := map[congest.Word]congest.Word{}
-	for v := 0; v < 50; v++ {
-		perNode[v] = map[congest.Word]congest.Word{}
-		for j := 0; j < rng.Intn(4); j++ {
-			k := congest.Word(rng.Intn(12))
-			val := congest.Word(rng.Intn(1000))
-			if cur, ok := perNode[v][k]; !ok || val < cur {
-				perNode[v][k] = val
-			}
-			if cur, ok := want[k]; !ok || perNode[v][k] < cur {
-				want[k] = perNode[v][k]
-			}
-		}
-	}
-	min := func(a, b congest.Word) congest.Word {
-		if a < b {
-			return a
-		}
-		return b
-	}
-	got, err := KeyedCombine(net, rt, perNode, min)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d: got %d, want %d", k, got[k], v)
-		}
-	}
-}
-
 // toKeyedValues converts the map-based test fixtures to the flat
 // KeyedSumOrdered input (unsorted; the primitive sorts).
 func toKeyedValues(perNode []map[congest.Word]congest.Word) []KeyedValues {
@@ -125,26 +87,5 @@ func TestKeyedSumOrderedPipelines(t *testing.T) {
 	}
 	if total != congest.Word(n) {
 		t.Fatalf("total mass %d, want %d", total, n)
-	}
-}
-
-func TestKeyedCombineBroadcastReachesAll(t *testing.T) {
-	net, rt := testNet(t, 23, 25)
-	perNode := make([]map[congest.Word]congest.Word, 25)
-	for v := range perNode {
-		perNode[v] = map[congest.Word]congest.Word{congest.Word(v % 3): congest.Word(v)}
-	}
-	max := func(a, b congest.Word) congest.Word {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	table, err := KeyedCombineBroadcast(net, rt, perNode, max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if table[0] != 24 || table[1] != 22 || table[2] != 23 {
-		t.Fatalf("table = %v", table)
 	}
 }

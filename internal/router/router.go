@@ -1,8 +1,8 @@
 // Package router is the fault-tolerant routing tier in front of N ecssd
 // shards (DESIGN.md §10). Solve requests are consistent-hashed on the
 // instance's content hash (graph.Hash prefix), so one graph always lands on
-// the same shard's warm cache and network pool; every key also has a stable
-// replica/failover order over the remaining shards. The router survives any
+// the same shard's warm cache; every key also has a stable replica/failover
+// order over the remaining shards. The router survives any
 // single shard's failure or drain: active /healthz probes plus a passive
 // consecutive-failure circuit breaker (exponential backoff, half-open
 // trials) eject dead shards, connect errors and 5xx responses retry on the

@@ -305,7 +305,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 	if st.Solves != 1 || st.Completed != 1 || st.Failed != 0 {
 		t.Fatalf("stats %+v — a retried job must count as one solve", st)
 	}
-	// The worker survived; the poisoned network was not returned to the pool.
+	// The worker survived the panic and serves the next job.
 	faults.Disarm()
 	j2, _, err := s.Submit(testGraph(t, 50), ecss.DefaultOptions())
 	if err != nil {
@@ -316,7 +316,7 @@ func TestPanicRecoveredAndRetried(t *testing.T) {
 		t.Fatalf("post-panic solve failed: %v", j2.err)
 	}
 
-	// A panic before the network is even acquired (solve.pre) must recover
+	// A panic before the solve starts (solve.pre) must recover
 	// identically — the recovery window covers the whole attempt.
 	armFaults(t, "solve.pre:panic,count=1")
 	j3, _, err := s.Submit(testGraph(t, 61), ecss.DefaultOptions())

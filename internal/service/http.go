@@ -65,7 +65,7 @@ func (w GraphWire) toGraph() (*graph.Graph, error) {
 
 // OptionsWire is the JSON encoding of the result-relevant solve options.
 type OptionsWire struct {
-	// Eps is the approximation slack (0 selects the default 0.25).
+	// Eps is the approximation slack, in (0,1) (0 selects the default 0.25).
 	Eps float64 `json:"eps,omitempty"`
 	// Variant is "cover2" (default) or "cover4".
 	Variant string `json:"variant,omitempty"`

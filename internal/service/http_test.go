@@ -189,10 +189,10 @@ func TestHTTPBadRequests(t *testing.T) {
 		t.Fatalf("unknown job: code=%d, want 404", resp.StatusCode)
 	}
 
-	// Bodies whose edge list the decoder must refuse. want is a substring
-	// of the error: the triple's index where the edge-list decoder sees
-	// the fault, or encoding/json's own complaint where the body is not
-	// JSON at all.
+	// Bodies the handler must refuse with 400. want is a substring of the
+	// error: the triple's index where the edge-list decoder sees the fault,
+	// encoding/json's own complaint where the body is not JSON at all, or
+	// admission's complaint about an out-of-range option.
 	wrap := func(edges string) string { return `{"graph":{"n":4,"edges":` + edges + `},"wait":true}` }
 	for _, tc := range []struct{ name, body, want string }{
 		{"truncated", `{"graph":{"n":4,"edges":[[0,1,1],[1,2`, "unexpected EOF"},
@@ -205,6 +205,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"quad", wrap(`[[0,1,1,5]]`), "edges[0]"},
 		{"trailing comma", wrap(`[[0,1,1],]`), "invalid character"},
 		{"null element", wrap(`[[0,1,null]]`), "edges[0]"},
+		{"eps above one", `{"graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]},"options":{"eps":1.5},"wait":true}`, "eps 1.5 out of (0,1)"},
 	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -103,10 +103,6 @@ func (s *Service) registerMetrics() {
 		g("ecss_queue_depth", "Jobs admitted but not yet picked up by a worker.", float64(st.QueueDepth))
 		g("ecss_inflight", "Distinct content keys queued or being solved.", float64(st.Inflight))
 		g("ecss_cache_entries", "Entries in the in-memory result cache.", float64(st.CacheEntries))
-		c("ecss_pool_creates_total", "Networks built because the pool had no twin.", float64(st.Pool.Creates))
-		c("ecss_pool_reuses_total", "Solves served by a pooled network.", float64(st.Pool.Reuses))
-		c("ecss_pool_evictions_total", "Idle networks closed to respect the pool bound.", float64(st.Pool.Evictions))
-		g("ecss_pool_idle", "Idle networks held by the pool.", float64(st.Pool.Idle))
 		for class, cs := range st.Classes {
 			l := obs.L("class", class)
 			c("ecss_class_submitted_total", "Submissions per priority class.", float64(cs.Submitted), l)

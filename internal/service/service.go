@@ -1,13 +1,13 @@
 // Package service implements the long-running 2-ECSS solver service that
 // fronts the paper's pipeline with a serving layer: a bounded priority job
 // queue with deadline- and class-aware admission control (admission.go), a
-// configurable worker pool executing solves on pooled congest Networks
-// (NetworkPool) with panic recovery and bounded retry, an in-flight
-// coalescing table and a content-addressed LRU result cache keyed by the
-// canonical graph digest plus solve options, per-job status/progress, and
-// graceful drain on shutdown. cmd/ecssd exposes it over an HTTP JSON API
-// (http.go) and cmd/loadgen drives it; DESIGN.md §7 and §9 describe the
-// architecture and the fault model.
+// configurable worker pool executing each solve on its own congest Network
+// with panic recovery and bounded retry, an in-flight coalescing table and a
+// content-addressed LRU result cache keyed by the canonical graph digest
+// plus solve options, per-job status/progress, and graceful drain on
+// shutdown. cmd/ecssd exposes it over an HTTP JSON API (http.go) and
+// cmd/loadgen drives it; DESIGN.md §7 and §9 describe the architecture and
+// the fault model.
 package service
 
 import (
@@ -39,8 +39,6 @@ type Config struct {
 	// the default 512; negative disables caching — results then live only
 	// on their job).
 	CacheEntries int
-	// PoolEntries bounds the idle NetworkPool (default Workers).
-	PoolEntries int
 	// NetWorkers is the engine worker-pool size used per solve (default 1:
 	// parallelism lives at the job level, matching the experiment harness
 	// convention).
@@ -77,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 512
-	}
-	if c.PoolEntries == 0 {
-		c.PoolEntries = c.Workers
 	}
 	if c.NetWorkers <= 0 {
 		c.NetWorkers = 1
@@ -132,9 +127,7 @@ type Job struct {
 	finished time.Time
 	// resultJSON is the canonical wire encoding, marshaled once (or copied
 	// once out of the store) and shared by every requester; it is never
-	// mutated. The *ecss.Result itself is not retained: its edge ids are
-	// relative to the (possibly pooled-twin) graph the solve ran on, not
-	// necessarily the submitter's.
+	// mutated.
 	resultJSON []byte
 	err        error
 	done       chan struct{}
@@ -187,7 +180,6 @@ type Stats struct {
 	// Classes breaks queue traffic down per priority class, keyed by
 	// Priority.String().
 	Classes map[string]ClassStats `json:"classes"`
-	Pool    NetworkPoolStats      `json:"pool"`
 	// Store mirrors the disk store's counters; nil when the service runs
 	// without persistence.
 	Store *store.Stats `json:"store,omitempty"`
@@ -238,7 +230,6 @@ const (
 // Service is the solver service. Create with New, stop with Drain.
 type Service struct {
 	cfg   Config
-	pool  *NetworkPool
 	store *store.Store // nil: no persistence
 	// o is the observability hub (never nil after New); solveHist is the
 	// pickup-to-terminal solve latency histogram, created once at startup;
@@ -280,7 +271,6 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		pool:     NewNetworkPool(cfg.PoolEntries),
 		store:    cfg.Store,
 		o:        cfg.Obs,
 		jobs:     make(map[string]*Job),
@@ -368,8 +358,8 @@ func (s *Service) Submit(g *graph.Graph, opt ecss.Options) (*Job, bool, error) {
 // past fails fast with ErrDeadlineExceeded (unless the result is on hand:
 // cache and coalescing hits serve instantly and ignore the deadline).
 func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job, bool, error) {
-	if opt.Eps <= 0 {
-		return nil, false, fmt.Errorf("service: eps must be positive, got %g", opt.Eps)
+	if !(opt.Eps > 0 && opt.Eps < 1) {
+		return nil, false, fmt.Errorf("service: eps %g out of (0,1)", opt.Eps)
 	}
 	if g == nil || g.N < 3 {
 		return nil, false, errors.New("service: need a graph with at least 3 vertices")
@@ -532,7 +522,7 @@ func (s *Service) runJob(j *Job) {
 	g, opt := j.g, j.opt
 	s.mu.Unlock()
 
-	// The round recorder is armed per attempt on the solve's pooled network
+	// The round recorder is armed per attempt on that attempt's network
 	// (solveOnce) and reset across retries, so the retained profile narrates
 	// the attempt that produced the terminal state.
 	var rec *congest.RoundRecorder
@@ -626,12 +616,10 @@ func (s *Service) runJob(j *Job) {
 	close(j.done)
 }
 
-// solveOnce runs one pipeline attempt on a pooled network, converting
-// solver panics into errors, and returns the stages the attempt entered. A
-// network that panicked mid-solve is in an unknown state and is closed,
-// never returned to the pool. rec, when non-nil, is armed as the network's
-// round observer for the duration of the solve and disarmed before the
-// network can re-enter the pool.
+// solveOnce runs one pipeline attempt on a network built for it, converting
+// solver panics into errors, and returns the stages the attempt entered. The
+// network is closed when the attempt ends, whatever its outcome. rec, when
+// non-nil, is armed as the network's round observer.
 //
 // A stage's cost is its depth-0 span in the network's phases: ecss.SolveOn
 // closes each stage's span before it calls Progress for the next, and the
@@ -640,7 +628,8 @@ func (s *Service) runJob(j *Job) {
 // with the stage's wall time and cost. A stage aborted by an error or panic
 // has no closed span and bills zero.
 func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, stages []StageCost, err error) {
-	var net *congest.Network
+	net := congest.NewNetwork(g)
+	defer net.Close()
 	var stage string // the stage SolveOn last entered, until closed
 	var stageStart time.Time
 	var stageEnded bool // stage's span is closed on net
@@ -688,38 +677,25 @@ func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *conge
 			err = &panicError{val: r}
 		}
 		closeStage()
-		if net == nil {
-			return
-		}
-		if panicked {
-			net.Close()
-		} else {
-			s.pool.Put(j.ghash, net)
-		}
 	}()
 	if ferr := faults.Point("solve.pre"); ferr != nil {
 		panicked = false
 		return nil, nil, ferr
 	}
-	net = s.pool.Get(j.ghash, g)
-	net.ResetAccounting()
 	if rec != nil {
 		net.Observer = rec
 	}
 	res, serr := ecss.SolveOn(net, opt)
 	stageEnded = serr == nil // the final span closes only on success
-	// Disarm before the network can be pooled: a recycled network must never
-	// write a later job's rounds into this job's profile.
-	net.Observer = nil
 	if serr == nil {
 		// Integrity gate: never cache (or serve) an unverified result.
-		serr = ecss.Verify(net.G, res)
+		serr = ecss.Verify(g, res)
 	}
 	if serr == nil {
 		serr = faults.Point("solve.postverify")
 	}
 	if serr == nil {
-		raw, serr = json.Marshal(wireResult(net.G, res))
+		raw, serr = json.Marshal(wireResult(g, res))
 	}
 	panicked = false
 	return raw, stages, serr
@@ -768,7 +744,6 @@ func (s *Service) Stats() Stats {
 	st.QueueDepth = s.qlen
 	st.Inflight = len(s.inflight)
 	st.CacheEntries = s.cache.len()
-	st.Pool = s.pool.Stats()
 	st.Classes = make(map[string]ClassStats, numPriorities)
 	for c := Priority(0); c < numPriorities; c++ {
 		cs := s.classes[c]
@@ -786,12 +761,12 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Drain stops admission, lets the workers finish every queued job, closes
-// the network pool, and — when a store is configured — flushes its pending
-// writes to disk and closes it, leaving a replayable index. It returns nil
-// on a clean drain or ctx.Err() if the context expires first (workers then
-// keep draining in the background; pool and store are closed once they
-// finish). Drain is one-shot: callers coordinate so it runs once.
+// Drain stops admission, lets the workers finish every queued job, and —
+// when a store is configured — flushes its pending writes to disk and
+// closes it, leaving a replayable index. It returns nil on a clean drain or
+// ctx.Err() if the context expires first (workers then keep draining in the
+// background; the store is closed once they finish). Drain is one-shot:
+// callers coordinate so it runs once.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -808,7 +783,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.pool.Close()
 		if s.store != nil {
 			// Every worker has returned, so every write-through Put is
 			// already enqueued; Close flushes them durably in FIFO order.

@@ -283,32 +283,3 @@ func PartwiseAggregate(net *congest.Network, part *Partition, sc *Shortcut, x []
 // chosen to be an improbable sentinel rather than a true identity because
 // op is opaque. Relays with children replace it on first arrival.
 const identityHint = Word(-0x7edcba9876543210)
-
-// LeaderBroadcast delivers one value per part from the part leader to all
-// members, with the same contention-faithful scheduling; implemented as an
-// aggregate whose operator keeps the leader's value.
-func LeaderBroadcast(net *congest.Network, part *Partition, sc *Shortcut, perPart map[int]Word) ([]Word, error) {
-	g := net.G
-	x := make([]Word, g.N)
-	leaderOf := map[int]int{}
-	for v := 0; v < g.N; v++ {
-		p := part.Of[v]
-		if p < 0 {
-			continue
-		}
-		if lv, ok := leaderOf[p]; !ok || v < lv {
-			leaderOf[p] = v
-		}
-	}
-	// The part tree uses the first member as leader; mirror that choice.
-	for p, lv := range leaderOf {
-		x[lv] = perPart[p]
-	}
-	keepLeader := func(a, b Word) Word {
-		if a != 0 {
-			return a
-		}
-		return b
-	}
-	return PartwiseAggregate(net, part, sc, x, keepLeader)
-}

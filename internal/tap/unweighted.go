@@ -99,20 +99,3 @@ func (s *Solver) SolveUnweighted() (*UnweightedResult, error) {
 	res.OrigEdges = s.VG.Project(res.VEdges)
 	return res, nil
 }
-
-// VerifyMISIndependence checks that no virtual edge covers two MIS elements
-// (the independence invariant of Claim 4.13); used by tests and experiments.
-func (s *Solver) VerifyMISIndependence(mis []int) error {
-	for ve := range s.VG.VEdges {
-		cnt := 0
-		for _, c := range mis {
-			if s.VG.Covers(ve, c) {
-				cnt++
-				if cnt > 1 {
-					return fmt.Errorf("tap: virtual edge %d covers two MIS edges", ve)
-				}
-			}
-		}
-	}
-	return nil
-}

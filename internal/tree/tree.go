@@ -254,9 +254,6 @@ func (t *Rooted) KthAncestor(v, k int) int {
 	return v
 }
 
-// EdgeCount returns n-1, the number of tree edges.
-func (t *Rooted) EdgeCount() int { return t.G.N - 1 }
-
 // TreeEdgeIDs returns the graph edge ids of all tree edges.
 func (t *Rooted) TreeEdgeIDs() []int {
 	out := make([]int, 0, t.G.N-1)
@@ -322,23 +319,6 @@ func (t *Rooted) Height() int {
 		}
 	}
 	return h
-}
-
-// HeavyChild returns, for each vertex, its child with the largest subtree
-// (-1 for leaves). Ties break to the smaller vertex id for determinism.
-func (t *Rooted) HeavyChild() []int {
-	hc := make([]int, t.G.N)
-	for v := range hc {
-		hc[v] = -1
-		best := -1
-		for _, c := range t.Children[v] {
-			if t.Size[c] > best || (t.Size[c] == best && c < hc[v]) {
-				best = t.Size[c]
-				hc[v] = c
-			}
-		}
-	}
-	return hc
 }
 
 // HeavyLight computes a heavy-light decomposition per Definition 5.3: edge
