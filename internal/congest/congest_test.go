@@ -376,3 +376,69 @@ func TestRunRecyclesAcrossCalls(t *testing.T) {
 		t.Fatalf("rounds = %d, want %d", got, 2*runs)
 	}
 }
+
+// TestWorklistAscendingDenseAndSparse alternates dense rounds (a hub
+// messages every leaf, in descending order) with sparse ones (the hub
+// messages three leaves, in descending order). Either way the next
+// worklist is assembled out of order: the active hub, the highest id, goes
+// first. Handlers must still run in strictly ascending node order in every
+// round, whether the worklist was rebuilt by the pending-flag scan or
+// sorted.
+func TestWorklistAscendingDenseAndSparse(t *testing.T) {
+	const n = 256
+	hub := n - 1
+	g := graph.New(n)
+	for v := 0; v < hub; v++ {
+		g.MustAddEdge(v, hub, 1) // edge v joins leaf v to the hub
+	}
+	net := NewNetwork(g)
+	net.Workers = 1
+	const lastSend = 9
+	var ran [][]int // ran[r-1] lists the handler calls of round r in order
+	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+		r := int(net.Stats().SimulatedRounds)
+		for len(ran) < r {
+			ran = append(ran, nil)
+		}
+		ran[r-1] = append(ran[r-1], v)
+		if v != hub || r > lastSend {
+			return nil, false
+		}
+		var out []Msg
+		if r%2 == 0 {
+			for leaf := hub - 1; leaf >= 0; leaf-- {
+				out = append(out, Msg{EdgeID: leaf, From: hub, Data: []Word{1}})
+			}
+		} else {
+			for _, leaf := range []int{9, 5, 1} {
+				out = append(out, Msg{EdgeID: leaf, From: hub, Data: []Word{1}})
+			}
+		}
+		return out, true
+	}
+	if err := net.Run(handler, nil, 100); err != nil {
+		t.Fatal(err)
+	}
+	dense, sparse := 0, 0
+	for i, vs := range ran {
+		for j := 1; j < len(vs); j++ {
+			if vs[j] <= vs[j-1] {
+				t.Fatalf("round %d ran handlers out of order: %v", i+1, vs)
+			}
+		}
+		if len(vs) >= n/denseNextDiv {
+			dense++
+		} else {
+			sparse++
+		}
+	}
+	// Round 1 schedules all nodes; then sparse (4 nodes) and dense (n
+	// nodes) rounds alternate until the hub goes quiet.
+	if len(ran) != lastSend+1 || dense < 4 || sparse < 4 {
+		t.Fatalf("got %d rounds (%d dense, %d sparse), want %d rounds mixing both",
+			len(ran), dense, sparse, lastSend+1)
+	}
+	if len(ran[1]) != 4 || len(ran[2]) != n {
+		t.Fatalf("rounds 2 and 3 ran %d and %d handlers, want 4 and %d", len(ran[1]), len(ran[2]), n)
+	}
+}

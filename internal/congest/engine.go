@@ -5,7 +5,8 @@ package congest
 //
 //   - Worklist scheduling: a round schedules exactly the nodes that are
 //     active or hold undelivered messages; building the next worklist costs
-//     O(active), not O(N).
+//     O(active), not O(N): a sparse one is sorted, and a dense one (at least
+//     N/16 nodes) is rebuilt by one scan of the pending flags.
 //   - Flat bandwidth accounting: the per-(edge,direction) word counters live
 //     in one []int32 indexed by 2*edgeID+dir and are lazily reset by an
 //     epoch stamp, so a round allocates no map and pays no reset loop.
@@ -40,6 +41,11 @@ const (
 	parallelSchedMin      = 64
 	parallelMsgsPerWorker = 64
 )
+
+// denseNextDiv sets when the next worklist is rebuilt by a scan instead of
+// a sort: once it holds at least N/denseNextDiv nodes, an O(N) pass over
+// the pending flags is cheaper than an O(k log k) sort of k entries.
+const denseNextDiv = 16
 
 // wstate is the per-worker accumulator for one round. Hot counters are kept
 // in locals inside the phase functions and written back once per phase, so
@@ -353,7 +359,18 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 			}
 			ws.recv = ws.recv[:0]
 		}
-		slices.Sort(sc.next)
+		// pending marks exactly the nodes on next, so a dense worklist is
+		// rebuilt in ascending order by scanning the flags.
+		if len(sc.next) >= g.N/denseNextDiv {
+			sc.next = sc.next[:0]
+			for v, p := range sc.pending[:g.N] {
+				if p {
+					sc.next = append(sc.next, v)
+				}
+			}
+		} else {
+			slices.Sort(sc.next)
+		}
 		if observer != nil {
 			observer.ObserveRound(RoundSample{
 				Round:        n.stats.SimulatedRounds,

@@ -122,7 +122,6 @@ func LCA(u, v VertexLabel) (Label, error) {
 	}
 	// Candidates: parent endpoints of the topmost light edges strictly
 	// below the common prefix on each side.
-	var candidates []Label
 	topBelow := func(lst []LightEdge, boundary Label) (Label, bool) {
 		// lst is deepest-first; the topmost entry strictly below the
 		// boundary (child of deepest common light edge) is the last
@@ -142,17 +141,15 @@ func LCA(u, v VertexLabel) (Label, error) {
 	if lowestCommon >= 0 {
 		boundary = u.Light[lowestCommon].Child
 	}
-	if c, ok := topBelow(u.Light, boundary); ok {
-		candidates = append(candidates, c)
-	}
-	if c, ok := topBelow(v.Light, boundary); ok {
-		candidates = append(candidates, c)
-	}
-	switch len(candidates) {
-	case 1:
-		return candidates[0], nil
-	case 2:
-		return Higher(candidates[0], candidates[1]), nil
+	cu, okU := topBelow(u.Light, boundary)
+	cv, okV := topBelow(v.Light, boundary)
+	switch {
+	case okU && okV:
+		return Higher(cu, cv), nil
+	case okU:
+		return cu, nil
+	case okV:
+		return cv, nil
 	default:
 		return Label{}, fmt.Errorf("lca: labels of %d and %d admit no LCA candidate (not the same tree?)",
 			u.Core.ID, v.Core.ID)

@@ -1,6 +1,7 @@
 package primitives
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -87,5 +88,56 @@ func TestKeyedSumOrderedPipelines(t *testing.T) {
 	}
 	if total != congest.Word(n) {
 		t.Fatalf("total mass %d, want %d", total, n)
+	}
+}
+
+// TestKeyedSumOrderedHandsBackArrays reuses one perNode across calls, the
+// way segments.Aggregator does: every call must leave each entry empty,
+// and a refilled input must give the same table at the same cost.
+func TestKeyedSumOrderedHandsBackArrays(t *testing.T) {
+	const n = 60
+	net, rt := testNet(t, 5, n)
+	rng := rand.New(rand.NewSource(5))
+	in := make([]map[congest.Word]congest.Word, n)
+	for v := range in {
+		in[v] = map[congest.Word]congest.Word{}
+		for j := 0; j < rng.Intn(4); j++ {
+			in[v][congest.Word(rng.Intn(12))] = congest.Word(1 + rng.Intn(50))
+		}
+	}
+	sum := func(a, b congest.Word) congest.Word { return a + b }
+	perNode := make([]KeyedValues, n)
+	var first map[congest.Word]congest.Word
+	var firstCost congest.Stats
+	for call := 0; call < 3; call++ {
+		for v, m := range in {
+			for k, val := range m {
+				perNode[v].Keys = append(perNode[v].Keys, k)
+				perNode[v].Vals = append(perNode[v].Vals, val)
+			}
+		}
+		before := net.Stats()
+		got, err := KeyedSumOrdered(net, rt, perNode, sum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := net.Stats()
+		cost := congest.Stats{
+			SimulatedRounds: after.SimulatedRounds - before.SimulatedRounds,
+			Messages:        after.Messages - before.Messages,
+			Words:           after.Words - before.Words,
+		}
+		for v, kv := range perNode {
+			if len(kv.Keys) != 0 || len(kv.Vals) != 0 {
+				t.Fatalf("call %d: vertex %d handed back %d keys, %d values", call, v, len(kv.Keys), len(kv.Vals))
+			}
+		}
+		if call == 0 {
+			first, firstCost = got, cost
+			continue
+		}
+		if !maps.Equal(got, first) || cost != firstCost {
+			t.Fatalf("call %d: table %v cost %+v, first call %v cost %+v", call, got, cost, first, firstCost)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package primitives
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"twoecss/internal/congest"
 	"twoecss/internal/tree"
@@ -13,25 +12,42 @@ import (
 // slices (not necessarily sorted). Keys must be unique per vertex and
 // below math.MaxInt64, which is reserved as the done marker.
 //
-// KeyedSumOrdered CONSUMES the slices: it sorts, drains, and shifts them
-// in place, so after the call their contents (at the original lengths)
-// are unspecified. Callers that reuse backing arrays across calls must
-// rebuild them from length zero each time (as segments.Aggregator does).
+// KeyedSumOrdered CONSUMES the slices and hands them back: it sorts and
+// drains them in place, grows them with the keys the vertex receives, and
+// on return leaves every perNode entry at length zero over the (possibly
+// grown) backing arrays. A caller that reuses perNode across calls can
+// append the next call's input straight away and keeps the capacity the
+// previous call grew.
 type KeyedValues struct {
 	Keys, Vals []congest.Word
 }
 
-// sortByKey co-sorts kv.Vals with kv.Keys. The lists are short (a handful
-// of segment keys per vertex), so a binary-insertion pass beats building a
-// permutation; it is also stable, though keys are unique anyway.
-func (kv *KeyedValues) sortByKey() {
+// sortDesc co-sorts kv.Vals with kv.Keys by descending key, so the smallest
+// key sits at the tail. The lists are short (a handful of segment keys per
+// vertex), so a binary-insertion pass beats building a permutation.
+func (kv *KeyedValues) sortDesc() {
 	for i := 1; i < len(kv.Keys); i++ {
 		k, v := kv.Keys[i], kv.Vals[i]
-		j, _ := slices.BinarySearch(kv.Keys[:i], k)
+		j, _ := searchDesc(kv.Keys[:i], k)
 		copy(kv.Keys[j+1:i+1], kv.Keys[j:i])
 		copy(kv.Vals[j+1:i+1], kv.Vals[j:i])
 		kv.Keys[j], kv.Vals[j] = k, v
 	}
+}
+
+// searchDesc finds k in the descending list keys: the index of k if found,
+// else the index at which inserting k keeps the list descending.
+func searchDesc(keys []congest.Word, k congest.Word) (int, bool) {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keys[mid] > k {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(keys) && keys[lo] == k
 }
 
 // KeyedSumOrdered convergecasts per-key values to the root with exact-once
@@ -43,10 +59,11 @@ func (kv *KeyedValues) sortByKey() {
 // aggregation (Section 4.2.3).
 // Rounds: O(height + #keys).
 //
-// Node state is flat: per-vertex sorted (key, value) parallel slices, one
-// global progress array indexed by child vertex, and double-buffered
-// two-word payloads, so a steady-state round allocates only when a key
-// list grows.
+// Node state is flat: per-vertex (key, value) parallel slices sorted by
+// descending key, so the next key to stream is popped from the tail and
+// the freed capacity takes later inserts; one global progress array
+// indexed by child vertex; and double-buffered two-word payloads. A round
+// allocates only when a key list outgrows every earlier call's capacity.
 func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues, op Combine) (map[congest.Word]congest.Word, error) {
 	g := net.G
 	if len(perNode) != g.N {
@@ -55,7 +72,7 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues
 	const doneTag = math.MaxInt64
 	const unreported = math.MinInt64
 
-	keys := make([][]congest.Word, g.N) // pending keys, sorted ascending
+	keys := make([][]congest.Word, g.N) // pending keys, sorted descending
 	vals := make([][]congest.Word, g.N) // vals[v][i] pairs with keys[v][i]
 	// progress[u] is the last key child u streamed to its parent
 	// (unreported before u's first message, doneTag when u finished).
@@ -67,15 +84,17 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues
 	payload := make([]congest.Word, 4*g.N)
 	parity := make([]bool, g.N)
 
-	for v := 0; v < g.N; v++ {
-		kv := perNode[v]
+	total := 0
+	for v := range perNode {
+		kv := &perNode[v]
 		if len(kv.Keys) != len(kv.Vals) {
 			return nil, fmt.Errorf("primitives: vertex %d has %d keys but %d values", v, len(kv.Keys), len(kv.Vals))
 		}
-		kv.sortByKey()
+		kv.sortDesc()
 		keys[v] = kv.Keys
 		vals[v] = kv.Vals
 		progress[v] = unreported
+		total += len(kv.Keys)
 	}
 
 	// childFloor returns the smallest progress over v's children
@@ -102,7 +121,7 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues
 			val := m.Data[1]
 			// Insert in sorted position (arrivals are ordered per child,
 			// but interleave across children), combining equal keys.
-			i, found := slices.BinarySearch(keys[v], k)
+			i, found := searchDesc(keys[v], k)
 			if found {
 				vals[v][i] = op(vals[v][i], val)
 			} else {
@@ -118,12 +137,12 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues
 			return nil, false
 		}
 		floor := childFloor(v)
-		if len(keys[v]) > 0 {
-			k := keys[v][0]
+		if last := len(keys[v]) - 1; last >= 0 {
+			k := keys[v][last]
 			if k <= floor {
-				val := vals[v][0]
-				keys[v] = keys[v][1:]
-				vals[v] = vals[v][1:]
+				val := vals[v][last]
+				keys[v] = keys[v][:last]
+				vals[v] = vals[v][:last]
 				buf := payload[4*v : 4*v+2 : 4*v+2]
 				if parity[v] {
 					buf = payload[4*v+2 : 4*v+4 : 4*v+4]
@@ -148,18 +167,18 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues
 		}
 		return nil, true
 	}
-	total := 0
-	for _, kv := range perNode {
-		total += len(kv.Keys)
+	err := net.Run(handler, nil, maxRoundsFor(g, 4*total))
+	var table map[congest.Word]congest.Word
+	if err == nil {
+		// The root never streams; its remaining (key, value) lists are
+		// the full combined table.
+		table = make(map[congest.Word]congest.Word, len(keys[t.Root]))
+		for i, k := range keys[t.Root] {
+			table[k] = vals[t.Root][i]
+		}
 	}
-	if err := net.Run(handler, nil, maxRoundsFor(g, 4*total)); err != nil {
-		return nil, err
+	for v := range perNode {
+		perNode[v] = KeyedValues{Keys: keys[v][:0], Vals: vals[v][:0]}
 	}
-	// The root never streams; its remaining (key, value) lists are the
-	// full combined table.
-	table := make(map[congest.Word]congest.Word, len(keys[t.Root]))
-	for i, k := range keys[t.Root] {
-		table[k] = vals[t.Root][i]
-	}
-	return table, nil
+	return table, err
 }

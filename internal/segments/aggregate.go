@@ -31,54 +31,57 @@ type Aggregator struct {
 	// VG is the virtual graph whose edges participate in aggregation.
 	VG *vgraph.VGraph
 
-	coveredBy [][]int // per virtual edge: covered tree-edge children
-	covering  [][]int // per tree-edge child: covering virtual edges
-	vedgeSegs [][]int // per virtual edge: distinct segments its path touches
+	// vedgeSegs lists the distinct segments each virtual edge's tree path
+	// touches, bottom-up, as CSR: virtual edge ve owns
+	// segOf[segOff[ve]:segOff[ve+1]].
+	segOff []int32
+	segOf  []int32
 
 	// Scratch reused across aggregate calls (an Aggregator is not safe for
 	// concurrent use, matching the one-Network-one-run engine contract):
-	// per-vertex keyed inputs for the Claim 4.6 convergecast, per-vertex
-	// item lists for the Claim 4.5 gather-broadcast, and the flat payload
-	// backing for per-segment items.
+	// per-tree-edge values for Claim 4.5, per-virtual-edge contributions
+	// for Claim 4.6, per-vertex keyed inputs for the Claim 4.6
+	// convergecast, per-vertex item lists for the Claim 4.5
+	// gather-broadcast, and the flat payload backing for per-segment items.
+	treeVals []congest.Word
+	veVals   []congest.Word
+	veOK     []bool
 	kv       []primitives.KeyedValues
-	kvTouch  []int // vertices with non-empty kv this call
 	perNode  [][]primitives.Item
 	pnTouch  []int // vertices with non-empty perNode this call
 	itemBuf  []congest.Word
 	itemList []primitives.Item
 }
 
-// NewAggregator precomputes the cover structure. The precomputation mirrors
-// the node-local knowledge establishd by Claims 4.3/4.4 (each vertex knows
-// its segment paths and the skeleton); its round bill is part of the
-// decomposition construction charge.
+// NewAggregator precomputes, per virtual edge, the segments its tree path
+// touches. The precomputation mirrors the node-local knowledge established
+// by Claims 4.3/4.4 (each vertex knows its segment paths and the skeleton);
+// its round bill is part of the decomposition construction charge.
+//
+// Cover paths themselves are never stored: the folds walk T.Parent from a
+// virtual edge's Dec up to its Anc, so the structure is O(m) rather than
+// O(m x depth). The path leaves a segment only at the segment's root, so
+// the segment list is built by hopping from root to root.
 func NewAggregator(net *congest.Network, bfs *tree.Rooted, d *Decomposition, vg *vgraph.VGraph) *Aggregator {
 	a := &Aggregator{Net: net, BFS: bfs, D: d, VG: vg}
 	nv := len(vg.VEdges)
-	a.coveredBy = make([][]int, nv)
-	a.covering = make([][]int, vg.T.G.N)
-	a.vedgeSegs = make([][]int, nv)
-	for ve := 0; ve < nv; ve++ {
-		path := vg.CoveredTreeEdges(ve)
-		a.coveredBy[ve] = path
-		segSeen := map[int]bool{}
-		for _, c := range path {
-			a.covering[c] = append(a.covering[c], ve)
-			sid := d.SegOfEdge[c]
-			if !segSeen[sid] {
-				segSeen[sid] = true
-				a.vedgeSegs[ve] = append(a.vedgeSegs[ve], sid)
+	depth := vg.T.Depth
+	a.segOff = make([]int32, nv+1)
+	a.segOf = make([]int32, 0, nv)
+	for ve := range vg.VEdges {
+		e := &vg.VEdges[ve]
+		for x := e.Dec; ; {
+			sid := d.SegOfEdge[x]
+			a.segOf = append(a.segOf, int32(sid))
+			x = d.Segs[sid].Root
+			if depth[x] <= depth[e.Anc] {
+				break
 			}
 		}
+		a.segOff[ve+1] = int32(len(a.segOf))
 	}
 	return a
 }
-
-// CoveredBy returns the tree-edge children covered by virtual edge ve.
-func (a *Aggregator) CoveredBy(ve int) []int { return a.coveredBy[ve] }
-
-// Covering returns the virtual edges covering tree edge child c.
-func (a *Aggregator) Covering(c int) []int { return a.covering[c] }
 
 // chargeIntraSegment bills the local scans of one aggregate call.
 func (a *Aggregator) chargeIntraSegment(what string) error {
@@ -106,6 +109,18 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 	if err := a.chargeIntraSegment("Claim 4.5 intra-segment scans"); err != nil {
 		return nil, err
 	}
+	// Each tree-edge child evaluates its value once; the highway summaries
+	// and every virtual edge's fold read it from here.
+	t := a.VG.T
+	if a.treeVals == nil {
+		a.treeVals = make([]congest.Word, t.G.N)
+	}
+	vals := a.treeVals
+	for c := range vals {
+		if c != t.Root {
+			vals[c] = value(c)
+		}
+	}
 	// Claim 4.4 global step: every vertex learns the per-segment highway
 	// aggregate m_S; simulated as a gather-broadcast of one item per
 	// segment, originated at the segment descendant.
@@ -123,7 +138,7 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 	for _, seg := range a.D.Segs {
 		m := id
 		for i := 1; i < len(seg.Highway); i++ {
-			m = op(m, value(seg.Highway[i]))
+			m = op(m, vals[seg.Highway[i]])
 		}
 		if len(a.perNode[seg.Desc]) == 0 {
 			a.pnTouch = append(a.pnTouch, seg.Desc)
@@ -135,10 +150,12 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 		return nil, fmt.Errorf("segments: claim 4.5 global step: %w", err)
 	}
 	out := make([]congest.Word, len(a.VG.VEdges))
+	parent := t.Parent
 	for ve := range out {
+		e := &a.VG.VEdges[ve]
 		acc := id
-		for _, c := range a.coveredBy[ve] {
-			acc = op(acc, value(c))
+		for x := e.Dec; x != e.Anc; x = parent[x] {
+			acc = op(acc, vals[x])
 		}
 		out[ve] = acc
 	}
@@ -155,28 +172,28 @@ func (a *Aggregator) PerTreeEdge(contribute func(ve int) (congest.Word, bool), o
 	// Global step: mid/long-range contributions are combined per segment
 	// over the BFS tree (Section 4.2.3); simulated as an ordered keyed
 	// convergecast followed by a broadcast of the per-segment table.
-	// Per-vertex inputs are flat (key, value) lists reused across calls;
-	// segment-key lists per simulating vertex are short, so the insert
-	// scan is cheaper than the per-vertex maps it replaces.
+	// Per-vertex inputs are flat (key, value) lists reused across calls
+	// (KeyedSumOrdered hands them back empty); segment-key lists per
+	// simulating vertex are short, so the insert scan is cheaper than
+	// per-vertex maps. Each virtual edge evaluates contribute once; the
+	// final per-tree-edge folds read it back from ws/oks.
 	if a.kv == nil {
 		a.kv = make([]primitives.KeyedValues, a.BFS.G.N)
 	}
-	for _, v := range a.kvTouch {
-		a.kv[v].Keys = a.kv[v].Keys[:0]
-		a.kv[v].Vals = a.kv[v].Vals[:0]
+	nv := len(a.VG.VEdges)
+	if a.veVals == nil {
+		a.veVals = make([]congest.Word, nv)
+		a.veOK = make([]bool, nv)
 	}
-	a.kvTouch = a.kvTouch[:0]
-	for ve := range a.VG.VEdges {
-		w, ok := contribute(ve)
-		if !ok {
+	ws, oks := a.veVals, a.veOK
+	for ve := range ws {
+		ws[ve], oks[ve] = contribute(ve)
+		if !oks[ve] {
 			continue
 		}
-		dec := a.VG.VEdges[ve].Dec // simulating vertex
-		kv := &a.kv[dec]
-		if len(kv.Keys) == 0 {
-			a.kvTouch = append(a.kvTouch, dec)
-		}
-		for _, sid := range a.vedgeSegs[ve] {
+		w := ws[ve]
+		kv := &a.kv[a.VG.VEdges[ve].Dec] // simulating vertex
+		for _, sid := range a.segOf[a.segOff[ve]:a.segOff[ve+1]] {
 			k := congest.Word(sid)
 			found := false
 			for i, have := range kv.Keys {
@@ -209,15 +226,21 @@ func (a *Aggregator) PerTreeEdge(contribute func(ve int) (congest.Word, bool), o
 		return nil, fmt.Errorf("segments: claim 4.6 broadcast: %w", err)
 	}
 
+	// Every covered tree edge folds its covering virtual edges in
+	// ascending ve order, the order a per-edge covering list would give.
 	out := make([]congest.Word, a.VG.T.G.N)
 	for c := range out {
-		acc := id
-		for _, ve := range a.covering[c] {
-			if w, ok := contribute(ve); ok {
-				acc = op(acc, w)
-			}
+		out[c] = id
+	}
+	parent := a.VG.T.Parent
+	for ve, ok := range oks {
+		if !ok {
+			continue
 		}
-		out[c] = acc
+		e := &a.VG.VEdges[ve]
+		for x := e.Dec; x != e.Anc; x = parent[x] {
+			out[x] = op(out[x], ws[ve])
+		}
 	}
 	return out, nil
 }

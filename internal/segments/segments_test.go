@@ -3,6 +3,7 @@ package segments
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,25 +152,9 @@ func contains(xs []int, x int) bool {
 
 func buildAggregator(t *testing.T, seed int64, n, extra int) (*Aggregator, *vgraph.VGraph, *tree.Rooted) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	g, rt := randRooted(rng, n, extra)
-	vg, err := vgraph.BuildFromGraph(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := Build(rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	net := congest.NewNetwork(g)
-	bfs, err := primitives.BuildBFS(net, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewAggregator(net, bfs, d, vg), vg, rt
+	_, rt := randRooted(rand.New(rand.NewSource(seed)), n, extra)
+	a := aggregatorOn(t, rt)
+	return a, a.VG, rt
 }
 
 func TestPerVEdgeSum(t *testing.T) {
@@ -231,19 +216,161 @@ func TestPerTreeEdgeMin(t *testing.T) {
 	}
 }
 
-func TestAggregatorIndexesMatchVGraph(t *testing.T) {
-	a, vg, rt := buildAggregator(t, 13, 50, 60)
-	idx := vg.CoverIndex()
-	for c := 0; c < rt.G.N; c++ {
-		if len(a.Covering(c)) != len(idx[c]) {
-			t.Fatalf("covering(%d): %d vs %d", c, len(a.Covering(c)), len(idx[c]))
+// aggregatorOn builds an Aggregator for spanning tree rt of its graph.
+func aggregatorOn(t *testing.T, rt *tree.Rooted) *Aggregator {
+	t.Helper()
+	vg, err := vgraph.BuildFromGraph(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Build(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	net := congest.NewNetwork(rt.G)
+	t.Cleanup(net.Close)
+	bfs, err := primitives.BuildBFS(net, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewAggregator(net, bfs, d, vg)
+}
+
+// randomSpanningTree roots a Kruskal tree of g over a shuffled edge order:
+// a random spanning tree, in general neither g's BFS tree nor its MST.
+func randomSpanningTree(t *testing.T, rng *rand.Rand, g *graph.Graph) *tree.Rooted {
+	t.Helper()
+	comp := make([]int, g.N)
+	for v := range comp {
+		comp[v] = v
+	}
+	var find func(int) int
+	find = func(v int) int {
+		if comp[v] != v {
+			comp[v] = find(comp[v])
+		}
+		return comp[v]
+	}
+	var ids []int
+	for _, id := range rng.Perm(g.M()) {
+		e := g.Edges[id]
+		if ru, rv := find(e.U), find(e.V); ru != rv {
+			comp[ru] = rv
+			ids = append(ids, id)
 		}
 	}
-	for ve := range vg.VEdges {
-		if len(a.CoveredBy(ve)) == 0 {
-			t.Fatalf("vedge %d covers nothing", ve)
+	rt, err := tree.NewFromEdgeSet(g, rng.Intn(g.N), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt
+}
+
+// TestAggregatorPathWalksMatchCoverSets checks the aggregates, which walk
+// cover paths instead of storing them, against folds over the reference
+// cover sets vgraph.CoveredTreeEdges, bit for bit and in the documented
+// fold order, on random BFS trees, path trees and random non-MST spanning
+// trees.
+func TestAggregatorPathWalksMatchCoverSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	var trees []*tree.Rooted
+	for trial := 0; trial < 6; trial++ {
+		n := 2 + rng.Intn(150)
+		_, rt := randRooted(rng, n, rng.Intn(2*n))
+		trees = append(trees, rt)
+
+		cfg := graph.GenConfig{Mode: graph.WeightUniform, MaxW: 30, Rng: rng}
+		pg := graph.PathWithIntervals(n+2, n, cfg)
+		pathEdges := make([]int, pg.N-1) // PathWithIntervals adds the path first
+		for i := range pathEdges {
+			pathEdges[i] = i
+		}
+		pt, err := tree.NewFromEdgeSet(pg, rng.Intn(pg.N), pathEdges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, pt)
+
+		rg := graph.RandomSpanningTreePlus(n+1, 2*n, cfg)
+		trees = append(trees, randomSpanningTree(t, rng, rg))
+	}
+	// A non-associative, non-commutative op: any reordering shows.
+	mix := func(x, y congest.Word) congest.Word { return 31*x + y }
+	for i, rt := range trees {
+		a := aggregatorOn(t, rt)
+		vg, d := a.VG, a.D
+		n, nv := rt.G.N, len(vg.VEdges)
+		// Reference cover lists: per virtual edge bottom-up, per tree edge
+		// ascending by virtual edge id.
+		covering := make([][]int, n)
+		for ve := 0; ve < nv; ve++ {
+			path := vg.CoveredTreeEdges(ve)
+			var segs []int32
+			for _, c := range path {
+				covering[c] = append(covering[c], ve)
+				if sid := int32(d.SegOfEdge[c]); !slices.Contains(segs, sid) {
+					segs = append(segs, sid)
+				}
+			}
+			if got := a.segOf[a.segOff[ve]:a.segOff[ve+1]]; !slices.Equal(got, segs) {
+				t.Fatalf("tree %d vedge %d: segment hops %v, edge by edge %v", i, ve, got, segs)
+			}
+		}
+		// Two calls each, so reused scratch is exercised.
+		for call := 0; call < 2; call++ {
+			vals := make([]float64, n)
+			for c := range vals {
+				vals[c] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+			}
+			got, err := a.PerVEdge(func(c int) congest.Word {
+				return congest.Word(math.Float64bits(vals[c]))
+			}, fsumWord, congest.Word(math.Float64bits(0)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ve := 0; ve < nv; ve++ {
+				var want float64
+				for _, c := range vg.CoveredTreeEdges(ve) {
+					want += vals[c]
+				}
+				if uint64(got[ve]) != math.Float64bits(want) {
+					t.Fatalf("tree %d call %d: PerVEdge[%d] = %v, want %v", i, call,
+						ve, math.Float64frombits(uint64(got[ve])), want)
+				}
+			}
+
+			ws := make([]congest.Word, nv)
+			oks := make([]bool, nv)
+			for ve := range ws {
+				ws[ve], oks[ve] = congest.Word(rng.Int63()), rng.Intn(4) != 0
+			}
+			const id = congest.Word(7)
+			gotT, err := a.PerTreeEdge(func(ve int) (congest.Word, bool) {
+				return ws[ve], oks[ve]
+			}, mix, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < n; c++ {
+				want := id
+				for _, ve := range covering[c] {
+					if oks[ve] {
+						want = mix(want, ws[ve])
+					}
+				}
+				if gotT[c] != want {
+					t.Fatalf("tree %d call %d: PerTreeEdge[%d] = %d, want %d", i, call, c, gotT[c], want)
+				}
+			}
 		}
 	}
+}
+
+func fsumWord(x, y congest.Word) congest.Word {
+	return congest.Word(math.Float64bits(math.Float64frombits(uint64(x)) + math.Float64frombits(uint64(y))))
 }
 
 func TestDecompositionQuick(t *testing.T) {

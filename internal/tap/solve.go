@@ -55,18 +55,16 @@ func (s *Solver) assemble(fs *forwardState, inB []bool, eps float64, revIters in
 	}
 	res.DualLB = sum / (1 + eps)
 	// Coverage multiplicity over R_k edges (Lemma 3.2 / Lemma 4.18).
-	for c := 0; c < s.T.G.N; c++ {
-		if c == s.T.Root || fs.rkOf[c] == 0 {
-			continue
+	cnt := make([]int, s.T.G.N)
+	for _, ve := range res.VEdges {
+		e := &s.VG.VEdges[ve]
+		for x := e.Dec; x != e.Anc; x = s.T.Parent[x] {
+			cnt[x]++
 		}
-		cnt := 0
-		for _, ve := range s.Agg.Covering(c) {
-			if inB[ve] {
-				cnt++
-			}
-		}
-		if cnt > res.MaxCoverRk {
-			res.MaxCoverRk = cnt
+	}
+	for c, k := range cnt {
+		if fs.rkOf[c] != 0 && k > res.MaxCoverRk {
+			res.MaxCoverRk = k
 		}
 	}
 	return res, nil
@@ -79,8 +77,9 @@ func (s *Solver) DualFeasibilityViolations(res *Result, eps float64) int {
 	bad := 0
 	for ve := range s.VG.VEdges {
 		var sum float64
-		for _, c := range s.Agg.CoveredBy(ve) {
-			sum += res.Duals[c]
+		e := &s.VG.VEdges[ve]
+		for x := e.Dec; x != e.Anc; x = s.T.Parent[x] {
+			sum += res.Duals[x]
 		}
 		limit := (1 + eps) * float64(s.VG.VEdges[ve].W)
 		if sum > limit*(1+1e-6)+1e-9 {

@@ -43,23 +43,38 @@ type VGraph struct {
 	T      *tree.Rooted
 	Lab    *lca.Labeling
 	VEdges []VEdge
-	// ByDesc[v] lists ids of virtual edges simulated by (descendant) v.
-	ByDesc [][]int
-	// origToVirt maps an original non-tree edge id to its 1 or 2 virtual
-	// edge ids.
-	origToVirt map[int][]int
+	// firstVirt[orig] is the first of the 1 or 2 consecutive virtual edge
+	// ids derived from original edge orig (-1 for tree edges).
+	firstVirt []int32
 }
 
 // Build constructs G' from the rooted tree t and labeling lb of the input
 // graph. Non-tree edges whose endpoints coincide after LCA-splitting (an
 // endpoint equal to the LCA) produce a single virtual edge.
 func Build(t *tree.Rooted, lb *lca.Labeling) (*VGraph, error) {
-	vg := &VGraph{
-		T:          t,
-		Lab:        lb,
-		ByDesc:     make([][]int, t.G.N),
-		origToVirt: make(map[int][]int),
+	edges := t.G.Edges
+	vg := &VGraph{T: t, Lab: lb, firstVirt: make([]int32, len(edges))}
+	// First pass: count the virtual edges so VEdges is allocated once.
+	// firstVirt[id] holds the LCA of non-tree edge id until the second
+	// pass overwrites it.
+	nv := 0
+	for id, e := range edges {
+		vg.firstVirt[id] = -1
+		if t.IsTreeEdge(id) {
+			continue
+		}
+		wl, err := lca.LCA(lb.Of(e.U), lb.Of(e.V))
+		if err != nil {
+			return nil, fmt.Errorf("vgraph: %w", err)
+		}
+		vg.firstVirt[id] = int32(wl.ID)
+		if wl.ID == e.U || wl.ID == e.V {
+			nv++
+		} else {
+			nv += 2
+		}
 	}
+	vg.VEdges = make([]VEdge, 0, nv)
 	add := func(anc, dec, orig int, w graph.Weight) {
 		id := len(vg.VEdges)
 		vg.VEdges = append(vg.VEdges, VEdge{
@@ -67,16 +82,13 @@ func Build(t *tree.Rooted, lb *lca.Labeling) (*VGraph, error) {
 			AncL: lb.Of(anc).Core, DecL: lb.Of(dec).Core,
 			Orig: orig, W: w,
 		})
-		vg.ByDesc[dec] = append(vg.ByDesc[dec], id)
-		vg.origToVirt[orig] = append(vg.origToVirt[orig], id)
 	}
-	for _, id := range t.NonTreeEdgeIDs() {
-		e := t.G.Edges[id]
-		wl, err := lca.LCA(lb.Of(e.U), lb.Of(e.V))
-		if err != nil {
-			return nil, fmt.Errorf("vgraph: %w", err)
+	for id, e := range edges {
+		w := int(vg.firstVirt[id])
+		if w < 0 {
+			continue
 		}
-		w := wl.ID
+		vg.firstVirt[id] = int32(len(vg.VEdges))
 		switch {
 		case w == e.U:
 			add(e.U, e.V, id, e.W)
@@ -108,33 +120,19 @@ func (vg *VGraph) CoveredTreeEdges(ve int) []int {
 	return out
 }
 
-// CoverIndex returns, for each tree edge child endpoint v, the sorted list
-// of virtual edge ids covering the tree edge {v, parent(v)}. Entry of the
-// root is nil.
-func (vg *VGraph) CoverIndex() [][]int {
-	idx := make([][]int, vg.T.G.N)
-	for ve := range vg.VEdges {
-		for _, c := range vg.CoveredTreeEdges(ve) {
-			idx[c] = append(idx[c], ve)
-		}
-	}
-	for v := range idx {
-		slices.Sort(idx[v])
-	}
-	return idx
-}
-
 // FullyCovers reports whether the set of virtual edges (given as a
 // membership predicate over virtual edge ids) covers every tree edge.
 func (vg *VGraph) FullyCovers(in func(ve int) bool) bool {
 	n := vg.T.G.N
+	parent := vg.T.Parent
 	covered := make([]bool, n)
 	for ve := range vg.VEdges {
 		if !in(ve) {
 			continue
 		}
-		for _, c := range vg.CoveredTreeEdges(ve) {
-			covered[c] = true
+		e := &vg.VEdges[ve]
+		for x := e.Dec; x != e.Anc; x = parent[x] {
+			covered[x] = true
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -163,8 +161,19 @@ func (vg *VGraph) Project(ves []int) []int {
 	return out
 }
 
-// VirtualOf returns the virtual edge ids derived from original edge id.
-func (vg *VGraph) VirtualOf(orig int) []int { return vg.origToVirt[orig] }
+// VirtualOf returns the virtual edge ids derived from original edge id
+// (nil for a tree edge).
+func (vg *VGraph) VirtualOf(orig int) []int {
+	f := int(vg.firstVirt[orig])
+	switch {
+	case f < 0:
+		return nil
+	case f+1 < len(vg.VEdges) && vg.VEdges[f+1].Orig == orig:
+		return []int{f, f + 1}
+	default:
+		return []int{f}
+	}
+}
 
 // Weight sums the weights of the given virtual edges.
 func (vg *VGraph) Weight(ves []int) graph.Weight {

@@ -81,30 +81,6 @@ func TestCoversMatchesPathMembership(t *testing.T) {
 	}
 }
 
-func TestCoverIndexConsistent(t *testing.T) {
-	_, rt, vg := buildRandom(t, 4, 35, 50)
-	idx := vg.CoverIndex()
-	for c := 0; c < 35; c++ {
-		if c == rt.Root {
-			continue
-		}
-		want := map[int]bool{}
-		for ve := range vg.VEdges {
-			if vg.Covers(ve, c) {
-				want[ve] = true
-			}
-		}
-		if len(idx[c]) != len(want) {
-			t.Fatalf("cover index at %d: %d entries, want %d", c, len(idx[c]), len(want))
-		}
-		for _, ve := range idx[c] {
-			if !want[ve] {
-				t.Fatalf("cover index at %d has stray edge %d", c, ve)
-			}
-		}
-	}
-}
-
 func TestFullyCoversOn2ECGraph(t *testing.T) {
 	// On a 2-edge-connected graph, the set of ALL virtual edges covers
 	// every tree edge (otherwise the uncovered tree edge is a bridge).
@@ -159,6 +135,16 @@ func TestSplitCount(t *testing.T) {
 		k := len(vg.VirtualOf(orig))
 		if k < 1 || k > 2 {
 			t.Fatalf("original edge %d split into %d virtual edges", orig, k)
+		}
+		for _, ve := range vg.VirtualOf(orig) {
+			if vg.VEdges[ve].Orig != orig {
+				t.Fatalf("VirtualOf(%d) lists virtual edge %d of original edge %d", orig, ve, vg.VEdges[ve].Orig)
+			}
+		}
+	}
+	for v := 0; v < rt.G.N; v++ {
+		if id := rt.ParentEdge[v]; id >= 0 && vg.VirtualOf(id) != nil {
+			t.Fatalf("tree edge %d has virtual edges %v", id, vg.VirtualOf(id))
 		}
 	}
 }
