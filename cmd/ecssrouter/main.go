@@ -3,20 +3,20 @@
 // on the instance's content hash so identical graphs hit the same shard's
 // warm cache, health-checks every shard actively (/healthz probes, drain
 // detection) and passively (consecutive-failure circuit breaker with
-// exponential backoff and half-open trials), retries connect errors and 5xx
-// on the next replica with bounded jitter, and hedges requests that outlive
-// the EWMA-derived p99 estimate to a second shard — first ack wins, the
-// loser is canceled. The solver is deterministic and results are
-// content-addressed, so any shard serves byte-identical bytes for a key:
-// one shard's kill -9 costs cache warmth, never acknowledged results.
+// exponential backoff and half-open trials), and tries a key's shards one
+// at a time in ring order: connect errors, 5xx, 429 and 503 retry on the
+// next shard after a bounded jittered delay. The solver is deterministic
+// and results are content-addressed, so any shard serves byte-identical
+// bytes for a key: one shard's kill -9 costs cache warmth, never
+// acknowledged results.
 //
-//	POST /v1/solve     routed, retried, hedged
+//	POST /v1/solve     routed, retried
 //	GET  /v1/jobs/{id} fanned out to eligible shards
 //	GET  /v1/jobs/{id}/stream  SSE job stream proxied from the owning shard
 //	GET  /v1/jobs/{id}/trace   per-job event trace fanned out to shards
 //	GET  /v1/jobs/{id}/profile engine round profile fanned out to shards
 //	GET  /v1/events    aggregated firehose: every shard's events, shard-tagged
-//	GET  /v1/stats     router + per-shard health, ejections, retries, hedges
+//	GET  /v1/stats     router + per-shard health, ejections, retries
 //	GET  /metrics      Prometheus text exposition (router + per-shard health,
 //	                   shard-tagged ecss_engine_* fleet totals, SLO burn rates)
 //	GET  /healthz      200 while >=1 shard eligible; 503 otherwise/draining
@@ -30,9 +30,8 @@
 //	ecssrouter -addr :8080 -shards http://s1:8081,http://s2:8082,... \
 //	           [-replicas 2] [-vnodes 64] [-probe-interval 500ms]
 //	           [-probe-timeout 2s] [-eject-after 3] [-eject-backoff 500ms]
-//	           [-eject-backoff-max 15s] [-hedge-after 0] [-retry-jitter 25ms]
-//	           [-slo-latency 2s] [-drain-timeout 30s] [-debug-addr ADDR]
-//	           [-faults SPEC]
+//	           [-eject-backoff-max 15s] [-retry-jitter 25ms] [-slo-latency 2s]
+//	           [-drain-timeout 30s] [-debug-addr ADDR] [-faults SPEC]
 //
 // -debug-addr starts a second listener serving net/http/pprof away from the
 // routed API port.
@@ -73,7 +72,6 @@ func run() error {
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failures before ejection")
 	ejectBackoff := flag.Duration("eject-backoff", 500*time.Millisecond, "first ejection backoff (doubles per re-ejection)")
 	ejectBackoffMax := flag.Duration("eject-backoff-max", 15*time.Second, "ejection backoff ceiling")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed hedging trigger (0: adaptive EWMA p99 policy)")
 	retryJitter := flag.Duration("retry-jitter", 25*time.Millisecond, "max random delay before each retry")
 	sloLatency := flag.Duration("slo-latency", 2*time.Second, "route-latency SLO threshold for burn-rate exposition")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
@@ -106,7 +104,6 @@ func run() error {
 		EjectAfter:      *ejectAfter,
 		EjectBackoff:    *ejectBackoff,
 		EjectBackoffMax: *ejectBackoffMax,
-		HedgeAfter:      *hedgeAfter,
 		RetryJitter:     *retryJitter,
 		SLOLatency:      *sloLatency,
 	}, addrs)
@@ -158,7 +155,7 @@ func run() error {
 	}
 	rt.Close()
 	st := rt.Stats()
-	log.Printf("ecssrouter: drained clean: %d requests, %d retries, %d hedges (%d won), %d ejections, %d no-shard",
-		st.Requests, st.Retries, st.Hedges, st.HedgesWon, st.Ejections, st.NoShard)
+	log.Printf("ecssrouter: drained clean: %d requests, %d retries, %d ejections, %d no-shard",
+		st.Requests, st.Retries, st.Ejections, st.NoShard)
 	return nil
 }

@@ -49,15 +49,12 @@ const (
 	EvStoreReverifyDrop  = "store.reverify_delete"
 
 	// Routing tier.
-	EvRouterRetry           = "router.retry"
-	EvRouterHedge           = "router.hedge"
-	EvRouterHedgeWon        = "router.hedge_won"
-	EvRouterAttemptCanceled = "router.attempt_canceled"
-	EvRouterEject           = "router.eject"
-	EvRouterShardDrain      = "router.shard_drain"
-	EvRouterShardRecovered  = "router.shard_recovered"
-	EvRouterNoShard         = "router.no_shard"
-	EvRouterDrain           = "router.drain"
+	EvRouterRetry          = "router.retry"
+	EvRouterEject          = "router.eject"
+	EvRouterShardDrain     = "router.shard_drain"
+	EvRouterShardRecovered = "router.shard_recovered"
+	EvRouterNoShard        = "router.no_shard"
+	EvRouterDrain          = "router.drain"
 
 	// Process-level.
 	EvServiceDrain = "service.drain"
@@ -76,7 +73,7 @@ type Event struct {
 	Job string `json:"job,omitempty"`
 	// Req is the request id minted at admission or propagated from the
 	// router via the X-ECSS-Request-Id header: every event of one client
-	// request — including both attempts of a hedged forward — shares it.
+	// request — including every retried attempt of a forward — shares it.
 	Req string `json:"req,omitempty"`
 	// Shard tags router-aggregated events with the origin shard's address;
 	// ShardSeq preserves the shard bus's own sequence number.
@@ -113,7 +110,7 @@ type Event struct {
 
 // RequestIDHeader is the HTTP header carrying the request id end to end:
 // minted by whichever tier sees the request first (router or shard),
-// stamped on every event and every retried or hedged backend attempt, and
+// stamped on every event and every retried backend attempt, and
 // echoed on the response.
 const RequestIDHeader = "X-ECSS-Request-Id"
 

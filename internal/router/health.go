@@ -63,31 +63,25 @@ type shard struct {
 	until       time.Time     // ejected: when half-open probing may begin
 
 	// Counters, all monotone.
-	forwards  int64 // attempts sent (including hedges and probes of live traffic)
+	forwards  int64 // solve attempts sent, retries included
 	successes int64
 	failures  int64 // connect errors + 5xx counted against the breaker
 	ejections int64
-	hedges    int64 // attempts launched as hedges against this shard
-	hedgesWon int64 // hedged attempts that produced the winning response
 
-	ewmaNs   float64 // per-shard success latency
 	lastErr  string
 	lastSeen time.Time // last successful response or probe
 }
 
 // ShardStats is the JSON view of one shard in /v1/stats and /healthz.
 type ShardStats struct {
-	Addr        string  `json:"addr"`
-	State       State   `json:"state"`
-	ConsecFails int     `json:"consec_fails,omitempty"`
-	Forwards    int64   `json:"forwards"`
-	Successes   int64   `json:"successes"`
-	Failures    int64   `json:"failures"`
-	Ejections   int64   `json:"ejections"`
-	Hedges      int64   `json:"hedges"`
-	HedgesWon   int64   `json:"hedges_won"`
-	EwmaMS      float64 `json:"ewma_ms"`
-	LastError   string  `json:"last_error,omitempty"`
+	Addr        string `json:"addr"`
+	State       State  `json:"state"`
+	ConsecFails int    `json:"consec_fails,omitempty"`
+	Forwards    int64  `json:"forwards"`
+	Successes   int64  `json:"successes"`
+	Failures    int64  `json:"failures"`
+	Ejections   int64  `json:"ejections"`
+	LastError   string `json:"last_error,omitempty"`
 }
 
 func (sh *shard) stats() ShardStats {
@@ -101,9 +95,6 @@ func (sh *shard) stats() ShardStats {
 		Successes:   sh.successes,
 		Failures:    sh.failures,
 		Ejections:   sh.ejections,
-		Hedges:      sh.hedges,
-		HedgesWon:   sh.hedgesWon,
-		EwmaMS:      sh.ewmaNs / 1e6,
 		LastError:   sh.lastErr,
 	}
 }
@@ -128,10 +119,12 @@ func (sh *shard) eligible(now time.Time) bool {
 
 // reportSuccess is the passive close of the breaker: any successful
 // response (or probe) restores the shard to healthy and resets the backoff
-// ladder. It reports whether this call recovered the shard — a transition
-// from any out-of-rotation state back to healthy — so the caller can emit
-// exactly one recovery event per outage.
-func (sh *shard) reportSuccess(cfg Config, dur time.Duration) (recovered bool) {
+// ladder — except that only a probe success brings a draining shard back,
+// since a draining shard still answers the requests it already holds. It
+// reports whether this call recovered the shard — a transition from any
+// out-of-rotation state back to healthy — so the caller can emit exactly
+// one recovery event per outage.
+func (sh *shard) reportSuccess(cfg Config, probe bool) (recovered bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.successes++
@@ -139,17 +132,9 @@ func (sh *shard) reportSuccess(cfg Config, dur time.Duration) (recovered bool) {
 	sh.backoff = cfg.EjectBackoff
 	sh.lastErr = ""
 	sh.lastSeen = time.Now()
-	if sh.state != StateDraining || dur == 0 {
-		// A probe success (dur 0) on a draining shard means it came back.
+	if sh.state != StateDraining || probe {
 		recovered = sh.state != StateHealthy
 		sh.state = StateHealthy
-	}
-	if dur > 0 {
-		if sh.ewmaNs == 0 {
-			sh.ewmaNs = float64(dur)
-		} else {
-			sh.ewmaNs = 0.8*sh.ewmaNs + 0.2*float64(dur)
-		}
 	}
 	return recovered
 }
@@ -213,7 +198,7 @@ func (rt *Router) probe(sh *shard) {
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<10)).Decode(&body)
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if sh.reportSuccess(rt.cfg, 0) {
+		if sh.reportSuccess(rt.cfg, true) {
 			rt.emit(obs.Event{Type: obs.EvRouterShardRecovered, Shard: sh.addr})
 		}
 	case resp.StatusCode == http.StatusServiceUnavailable && body.Status == "draining":

@@ -44,13 +44,9 @@ func (rt *Router) registerMetrics() {
 		}
 		c("ecss_router_requests_total", "Solve requests received.", float64(st.Requests))
 		c("ecss_router_retries_total", "Extra attempts after retryable failures.", float64(st.Retries))
-		c("ecss_router_hedges_total", "Attempts launched by the hedge trigger.", float64(st.Hedges))
-		c("ecss_router_hedges_won_total", "Hedged attempts that produced the winning response.", float64(st.HedgesWon))
 		c("ecss_router_ejections_total", "Circuit-breaker trips, active and passive.", float64(st.Ejections))
 		c("ecss_router_no_shard_total", "Requests failed for want of any eligible shard.", float64(st.NoShard))
 		g("ecss_router_eligible_shards", "Shards currently eligible for new requests.", float64(st.Eligible))
-		g("ecss_router_hedge_delay_seconds", "Live hedging trigger (0: hedging inactive).", st.HedgeDelayMS/1e3)
-		g("ecss_router_p99_estimate_seconds", "EWMA-derived latency estimate feeding the hedge trigger.", st.P99EstMS/1e3)
 		for _, ss := range st.Shards {
 			l := obs.L("shard", ss.Addr)
 			g("ecss_router_shard_eligible", "Whether the shard takes new requests (by state).",
@@ -59,9 +55,6 @@ func (rt *Router) registerMetrics() {
 			c("ecss_router_shard_successes_total", "Successful responses from the shard.", float64(ss.Successes), l)
 			c("ecss_router_shard_failures_total", "Breaker-relevant failures of the shard.", float64(ss.Failures), l)
 			c("ecss_router_shard_ejections_total", "Times the shard was ejected.", float64(ss.Ejections), l)
-			c("ecss_router_shard_hedges_total", "Hedged attempts sent to the shard.", float64(ss.Hedges), l)
-			c("ecss_router_shard_hedges_won_total", "Hedged attempts the shard won.", float64(ss.HedgesWon), l)
-			g("ecss_router_shard_ewma_seconds", "Per-shard EWMA success latency.", ss.EwmaMS/1e3, l)
 		}
 		for point, ps := range st.Faults {
 			l := obs.L("point", point)

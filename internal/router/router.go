@@ -5,13 +5,12 @@
 // order over the remaining shards. The router survives any
 // single shard's failure or drain: active /healthz probes plus a passive
 // consecutive-failure circuit breaker (exponential backoff, half-open
-// trials) eject dead shards, connect errors and 5xx responses retry on the
-// next replica with bounded jitter, and a request that outlives the
-// EWMA-derived p99 estimate is hedged to a second shard — first ack wins,
-// the loser is canceled via context. Results are content-addressed and the
-// solver is deterministic, so any shard can (re)produce byte-identical
-// bytes for any key: failover needs no replication protocol, only a warm
-// or cold re-solve.
+// trials) eject dead shards, and a forward tries the key's eligible shards
+// one at a time in ring order, retrying connect errors, 5xx, 429 and 503 on
+// the next shard after a bounded jittered delay. Results are
+// content-addressed and the solver is deterministic, so any shard can
+// (re)produce byte-identical bytes for any key: failover needs no
+// replication protocol, only a warm or cold re-solve.
 package router
 
 import (
@@ -21,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -52,14 +50,6 @@ type Config struct {
 	EjectAfter      int
 	EjectBackoff    time.Duration
 	EjectBackoffMax time.Duration
-	// HedgeAfter, when positive, is a fixed hedging trigger. Zero selects
-	// the adaptive policy: hedge when a request outlives the EWMA-tracked
-	// p99 estimate (mean + 4·mean-deviation over recent successes), active
-	// only once hedgeMinSamples successes have been observed.
-	HedgeAfter time.Duration
-	// MaxAttempts bounds total tries per request including the first and
-	// any hedge (default 0: one try per distinct shard).
-	MaxAttempts int
 	// RetryJitter is the upper bound of the uniform random delay before
 	// each retry attempt, decorrelating retry storms (default 25ms).
 	RetryJitter time.Duration
@@ -107,15 +97,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Adaptive hedging bounds: never hedge before the estimator has seen a
-// workload, never sooner than hedgeFloor (a hedge under a few ms buys
-// nothing and doubles load), never later than hedgeCeil.
-const (
-	hedgeMinSamples = 16
-	hedgeFloor      = 5 * time.Millisecond
-	hedgeCeil       = 30 * time.Second
-)
-
 // maxRelayBytes bounds one buffered backend response; matches the service's
 // own request bound.
 const maxRelayBytes = 1 << 28
@@ -134,18 +115,8 @@ type Router struct {
 	sloLatency  *obs.SLO
 	sloAvail    *obs.SLO
 
-	// p99 estimator over successful forward latencies, all shards pooled:
-	// EWMA mean and EWMA mean-absolute-deviation, sample-counted so the
-	// cold start never hedges on noise. Guarded by emu.
-	emu     sync.Mutex
-	ewmaNs  float64
-	devNs   float64
-	samples int64
-
 	requests  atomic.Int64 // solve requests received
 	retries   atomic.Int64 // extra attempts after a retryable failure
-	hedges    atomic.Int64 // attempts launched by the hedge trigger
-	hedgesWon atomic.Int64 // hedged attempts that produced the winning response
 	ejections atomic.Int64 // breaker trips, active + passive
 	noShard   atomic.Int64 // requests failed for want of any eligible shard
 	draining  atomic.Bool
@@ -239,37 +210,8 @@ func (rt *Router) candidates(key uint64) []*shard {
 	return out
 }
 
-// hedgeDelay returns the current hedging trigger, or 0 when hedging is off
-// (cold estimator and no fixed override).
-func (rt *Router) hedgeDelay() time.Duration {
-	if rt.cfg.HedgeAfter > 0 {
-		return rt.cfg.HedgeAfter
-	}
-	rt.emu.Lock()
-	defer rt.emu.Unlock()
-	if rt.samples < hedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(rt.ewmaNs + 4*rt.devNs)
-	return min(max(d, hedgeFloor), hedgeCeil)
-}
-
-// observeLatency feeds one successful forward into the p99 estimator.
-func (rt *Router) observeLatency(dur time.Duration) {
-	x := float64(dur)
-	rt.emu.Lock()
-	if rt.samples == 0 {
-		rt.ewmaNs = x
-	} else {
-		rt.ewmaNs = 0.9*rt.ewmaNs + 0.1*x
-		rt.devNs = 0.9*rt.devNs + 0.1*math.Abs(x-rt.ewmaNs)
-	}
-	rt.samples++
-	rt.emu.Unlock()
-}
-
-// attemptResult is one backend attempt's outcome, buffered in full so the
-// winner can be relayed after losers are canceled.
+// attemptResult is one backend attempt's outcome, buffered in full so a
+// failed attempt can be classified before anything reaches the client.
 type attemptResult struct {
 	shard  *shard
 	status int
@@ -277,7 +219,6 @@ type attemptResult struct {
 	body   []byte
 	err    error
 	dur    time.Duration
-	hedged bool
 }
 
 // deliverable reports whether the response should be relayed to the client
@@ -310,12 +251,12 @@ func (a *attemptResult) breakerRelevant() bool {
 	return a.status >= 500 && a.status != http.StatusServiceUnavailable && a.status != http.StatusGatewayTimeout
 }
 
-// attempt posts body to sh, buffering the full response. jitter delays the
-// send (retry decorrelation); a canceled context aborts both the delay and
-// the request. Every attempt of one forward — retries and hedges included —
+// attempt posts body to sh, buffering the full response. jitter bounds a
+// random delay before the send (retry decorrelation); a canceled context
+// aborts both the delay and the request. Every attempt of one forward
 // carries the same request id, so the shards' traces stitch into one.
-func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []byte, hedged bool, jitter time.Duration, out chan<- *attemptResult) {
-	res := &attemptResult{shard: sh, hedged: hedged}
+func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []byte, jitter time.Duration) *attemptResult {
+	res := &attemptResult{shard: sh}
 	if jitter > 0 {
 		t := time.NewTimer(time.Duration(rand.Int63n(int64(jitter))))
 		select {
@@ -323,22 +264,17 @@ func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []b
 		case <-ctx.Done():
 			t.Stop()
 			res.err = ctx.Err()
-			out <- res
-			return
+			return res
 		}
 	}
 	sh.mu.Lock()
 	sh.forwards++
-	if hedged {
-		sh.hedges++
-	}
 	sh.mu.Unlock()
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.addr+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
 		res.err = err
-		out <- res
-		return
+		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(obs.RequestIDHeader, reqID)
@@ -346,125 +282,67 @@ func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []b
 	if err != nil {
 		res.err = err
 		res.dur = time.Since(start)
-		out <- res
-		return
+		return res
 	}
 	defer resp.Body.Close()
 	res.status = resp.StatusCode
 	res.header = resp.Header
 	res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
 	res.dur = time.Since(start)
-	out <- res
+	return res
 }
 
 // errNoShard is returned (as a 503) when no shard is eligible for a key.
 var errNoShard = errors.New("router: no healthy shard available")
 
-// forward drives one client request to a deliverable response: primary
-// attempt, bounded jittered retries on retryable failures, and one hedge
-// when the primary outlives the hedge trigger. First deliverable response
-// wins; canceling ctx (the deferred cancel on return) aborts the losers.
+// forward drives one client request to a deliverable response. It tries
+// cands in ring order, one attempt per shard, waiting a jittered delay
+// before each retry, and returns the first deliverable response; when every
+// shard has failed it returns the last failure. A done ctx (client gone)
+// ends the forward without a verdict on the shard it was waiting for.
 func (rt *Router) forward(ctx context.Context, reqID string, body []byte, cands []*shard) (*attemptResult, error) {
 	if len(cands) == 0 {
 		rt.noShard.Add(1)
 		rt.emit(obs.Event{Type: obs.EvRouterNoShard, Req: reqID})
 		return nil, errNoShard
 	}
-	maxAttempts := len(cands)
-	if rt.cfg.MaxAttempts > 0 && rt.cfg.MaxAttempts < maxAttempts {
-		maxAttempts = rt.cfg.MaxAttempts
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan *attemptResult, maxAttempts)
-	next, inflight := 0, 0
-	// pending tracks launched-but-unfinished attempts so the winner can
-	// name the losers its deferred cancel kills (router.attempt_canceled).
-	pending := make(map[*shard]bool, maxAttempts)
-	launch := func(hedged bool, jitter time.Duration) {
-		sh := cands[next]
-		next++
-		inflight++
-		pending[sh] = true
-		go rt.attempt(ctx, sh, reqID, body, hedged, jitter, results)
-	}
-	launch(false, 0)
-
-	var hedgeC <-chan time.Time
-	if d := rt.hedgeDelay(); d > 0 && maxAttempts > 1 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
 	var last *attemptResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			delete(pending, res.shard)
-			if res.deliverable() {
-				if recovered := res.shard.reportSuccess(rt.cfg, res.dur); recovered {
-					rt.emit(obs.Event{Type: obs.EvRouterShardRecovered, Shard: res.shard.addr})
-				}
-				if res.status < 300 {
-					rt.observeLatency(res.dur)
-					rt.forwardHist.Observe(res.dur.Seconds())
-				}
-				if res.hedged {
-					rt.hedgesWon.Add(1)
-					res.shard.mu.Lock()
-					res.shard.hedgesWon++
-					res.shard.mu.Unlock()
-					rt.emit(obs.Event{Type: obs.EvRouterHedgeWon, Req: reqID, Shard: res.shard.addr,
-						MS: float64(res.dur) / float64(time.Millisecond)})
-				}
-				// The deferred cancel aborts every still-running loser; name
-				// them so a hedged request's fate is fully narrated.
-				for sh := range pending {
-					rt.emit(obs.Event{Type: obs.EvRouterAttemptCanceled, Req: reqID, Shard: sh.addr})
-				}
-				return res, nil
-			}
-			if ctx.Err() != nil && errors.Is(res.err, context.Canceled) {
-				// Cancellation unwinding (client gone), not a shard verdict.
-				if inflight == 0 {
-					return nil, ctx.Err()
-				}
-				continue
-			}
-			if res.breakerRelevant() {
-				if res.shard.reportFailure(rt.cfg, failureCause(res)) {
-					rt.noteEjection(res.shard, failureCause(res))
-				}
-			} else if res.status == http.StatusServiceUnavailable {
-				// The shard told us it is draining; believe it immediately
-				// instead of waiting for the next probe round.
-				if res.shard.setDraining() {
-					rt.emit(obs.Event{Type: obs.EvRouterShardDrain, Shard: res.shard.addr})
-				}
-			}
-			last = res
-			if next < maxAttempts {
-				rt.retries.Add(1)
-				rt.emit(obs.Event{Type: obs.EvRouterRetry, Req: reqID, Shard: cands[next].addr,
-					Err: failureCause(res).Error()})
-				launch(false, rt.cfg.RetryJitter)
-			} else if inflight == 0 {
-				return last, nil
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if next < maxAttempts {
-				rt.hedges.Add(1)
-				rt.emit(obs.Event{Type: obs.EvRouterHedge, Req: reqID, Shard: cands[next].addr})
-				launch(true, 0)
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	for i, sh := range cands {
+		var jitter time.Duration
+		if i > 0 {
+			rt.retries.Add(1)
+			rt.emit(obs.Event{Type: obs.EvRouterRetry, Req: reqID, Shard: sh.addr,
+				Err: failureCause(last).Error()})
+			jitter = rt.cfg.RetryJitter
 		}
+		res := rt.attempt(ctx, sh, reqID, body, jitter)
+		if res.deliverable() {
+			if recovered := sh.reportSuccess(rt.cfg, false); recovered {
+				rt.emit(obs.Event{Type: obs.EvRouterShardRecovered, Shard: sh.addr})
+			}
+			if res.status < 300 {
+				rt.forwardHist.Observe(res.dur.Seconds())
+			}
+			return res, nil
+		}
+		if err := ctx.Err(); err != nil {
+			// The client went away mid-attempt: not a shard verdict.
+			return nil, err
+		}
+		if res.breakerRelevant() {
+			if sh.reportFailure(rt.cfg, failureCause(res)) {
+				rt.noteEjection(sh, failureCause(res))
+			}
+		} else if res.status == http.StatusServiceUnavailable {
+			// The shard told us it is draining; believe it immediately
+			// instead of waiting for the next probe round.
+			if sh.setDraining() {
+				rt.emit(obs.Event{Type: obs.EvRouterShardDrain, Shard: sh.addr})
+			}
+		}
+		last = res
 	}
+	return last, nil
 }
 
 func failureCause(res *attemptResult) error {
@@ -476,7 +354,7 @@ func failureCause(res *attemptResult) error {
 
 // Handler returns the router's HTTP API, a drop-in superset of one shard's:
 //
-//	POST /v1/solve            routed by content hash, retried/hedged across shards
+//	POST /v1/solve            routed by content hash, retried across shards
 //	GET  /v1/jobs/{id}        fanned out to eligible shards, first hit wins
 //	GET  /v1/jobs/{id}/stream per-job SSE, proxied from the owning shard
 //	GET  /v1/jobs/{id}/trace  job event timeline, fanned out like job lookups
@@ -501,6 +379,7 @@ func (rt *Router) Handler() http.Handler {
 }
 
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	rt.requests.Add(1)
 	// The router is usually the first tier to see the request: mint the
 	// trace id here (or adopt the client's) so every shard attempt of this
@@ -532,11 +411,12 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 	res, err := rt.forward(r.Context(), reqID, body, rt.candidates(keyPoint(g.Hash())))
 	// SLO classification: the routing tier is available when it relayed a
 	// deliverable non-5xx answer; 2xx relays additionally count against the
-	// route-latency objective.
+	// route-latency objective, timed from receipt so failed attempts and
+	// retry jitter count too.
 	good := err == nil && res.err == nil && res.status < http.StatusInternalServerError
 	rt.sloAvail.Observe(good)
 	if good && res.status < http.StatusMultipleChoices {
-		rt.sloLatency.ObserveLatency(res.dur, rt.cfg.SLOLatency)
+		rt.sloLatency.ObserveLatency(time.Since(start), rt.cfg.SLOLatency)
 	}
 	switch {
 	case errors.Is(err, errNoShard):
@@ -624,15 +504,14 @@ type Stats struct {
 
 	Requests  int64 `json:"requests"`
 	Retries   int64 `json:"retries"`
-	Hedges    int64 `json:"hedges"`
-	HedgesWon int64 `json:"hedges_won"`
 	Ejections int64 `json:"ejections"`
 	NoShard   int64 `json:"no_shard"`
 
-	// HedgeDelayMS is the live hedging trigger (0: hedging inactive);
-	// P99EstMS is the EWMA-derived latency estimate feeding it.
-	HedgeDelayMS float64 `json:"hedge_delay_ms"`
-	P99EstMS     float64 `json:"p99_est_ms"`
+	// Hedges and HedgesWon are always 0: the router no longer hedges. They
+	// stay only because the repository benchmark (benchmark/serve.go) reads
+	// these two fields.
+	Hedges    int64 `json:"hedges"`
+	HedgesWon int64 `json:"hedges_won"`
 
 	// Faults mirrors the armed fault plan's counters (router.forward).
 	Faults map[string]faults.PointStats `json:"faults,omitempty"`
@@ -643,8 +522,6 @@ func (rt *Router) Stats() Stats {
 	st := Stats{
 		Requests:  rt.requests.Load(),
 		Retries:   rt.retries.Load(),
-		Hedges:    rt.hedges.Load(),
-		HedgesWon: rt.hedgesWon.Load(),
 		Ejections: rt.ejections.Load(),
 		NoShard:   rt.noShard.Load(),
 		Faults:    faults.Snapshot(),
@@ -656,10 +533,6 @@ func (rt *Router) Stats() Stats {
 			st.Eligible++
 		}
 	}
-	st.HedgeDelayMS = float64(rt.hedgeDelay()) / 1e6
-	rt.emu.Lock()
-	st.P99EstMS = (rt.ewmaNs + 4*rt.devNs) / 1e6
-	rt.emu.Unlock()
 	return st
 }
 

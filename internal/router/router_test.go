@@ -2,6 +2,7 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -286,54 +287,157 @@ func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 	}
 }
 
-func TestHedgeRacesSlowPrimaryFirstAckWins(t *testing.T) {
-	const slowDelay = 2 * time.Second
-	canceled := make(chan struct{}, 4)
-	cfg := quietConfig()
-	cfg.HedgeAfter = 25 * time.Millisecond
-	slowSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+func TestSlowPrimaryIsWaitedOut(t *testing.T) {
+	const slowDelay = 100 * time.Millisecond
+	var slow atomic.Bool
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if slow.Load() {
+			time.Sleep(slowDelay)
+		}
+		writeJSON(w, http.StatusOK, map[string]string{"job_id": "primary", "status": "done"})
+	}))
+	defer primary.Close()
+	other := httptest.NewServer(okHandler("other", nil))
+	defer other.Close()
+
+	rt, err := New(quietConfig(), []string{primary.URL, other.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	body := bodyForPrimary(t, rt, 0)
+	// A run of fast answers is what an adaptive latency trigger would learn
+	// from; a slow one after it must still be waited out, not raced.
+	for i := 0; i < 16; i++ {
+		if code, out, _ := postVia(t, rt, body); code != http.StatusOK || out["job_id"] != "primary" {
+			t.Fatalf("fast request %d: code=%d out=%v", i, code, out)
+		}
+	}
+	before := rt.shards[1].stats().Forwards
+	slow.Store(true)
+	code, out, hdr := postVia(t, rt, body)
+	if code != http.StatusOK || out["job_id"] != "primary" || hdr.Get(obs.ShardHeader) != primary.URL {
+		t.Fatalf("slow request: code=%d out=%v shard=%q, want the primary's answer", code, out, hdr.Get(obs.ShardHeader))
+	}
+	if got := rt.shards[1].stats().Forwards; got != before {
+		t.Fatalf("other shard forwards %d -> %d while the primary was merely slow", before, got)
+	}
+	if st := rt.Stats(); st.Retries != 0 {
+		t.Fatalf("slow primary caused %d retries", st.Retries)
+	}
+}
+
+func TestClientCancelAbortsAttemptWithoutVerdict(t *testing.T) {
+	started := make(chan struct{}, 1)
+	canceled := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/solve" {
+			// The router's event aggregator dials every shard too.
+			http.NotFound(w, r)
+			return
+		}
 		// Consume the body first: Go's server only watches for client
 		// disconnect (canceling r.Context()) once the body is drained —
 		// exactly what the real solve handler's JSON decode does.
 		io.Copy(io.Discard, r.Body)
+		started <- struct{}{}
 		select {
-		case <-time.After(slowDelay):
-			writeJSON(w, http.StatusOK, map[string]string{"job_id": "slow", "status": "done"})
 		case <-r.Context().Done():
 			canceled <- struct{}{}
+		case <-time.After(10 * time.Second):
+			writeJSON(w, http.StatusOK, map[string]string{"job_id": "hung", "status": "done"})
 		}
 	}))
-	defer slowSrv.Close()
-	fastSrv := httptest.NewServer(okHandler("fast", nil))
-	defer fastSrv.Close()
+	defer hung.Close()
+	var otherHits atomic.Int64
+	other := httptest.NewServer(okHandler("other", &otherHits))
+	defer other.Close()
 
-	// Find a seed whose primary replica is the slow shard: the first ack
-	// must then come from the hedge on the fast one.
-	rt2, err := New(cfg, []string{slowSrv.URL, fastSrv.URL})
+	rt, err := New(quietConfig(), []string{hung.URL, other.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rt2.Close()
-	hedgeBody := bodyForPrimary(t, rt2, 0)
-
-	t0 := time.Now()
-	code, out2, _ := postVia(t, rt2, hedgeBody)
-	elapsed := time.Since(t0)
-	if code != http.StatusOK || out2["job_id"] != "fast" {
-		t.Fatalf("hedged request: code=%d out=%v, want fast shard's answer", code, out2)
+	defer rt.Close()
+	srv := httptest.NewServer(rt.Handler())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/solve", bytes.NewReader(bodyForPrimary(t, rt, 0)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed >= slowDelay {
-		t.Fatalf("hedge did not race the slow primary: took %s", elapsed)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never reached the primary")
 	}
-	st := rt2.Stats()
-	if st.Hedges == 0 || st.HedgesWon == 0 {
-		t.Fatalf("hedge counters not recorded: %+v", st)
-	}
-	// The losing (slow) attempt must be canceled via context.
+	cancel()
 	select {
 	case <-canceled:
 	case <-time.After(5 * time.Second):
-		t.Fatal("slow loser was never canceled")
+		t.Fatal("client cancel never reached the in-flight shard attempt")
+	}
+	if err := <-errc; err == nil {
+		t.Fatal("canceled client got a response")
+	}
+	srv.Close() // waits for the router's handler to return
+
+	st := rt.Stats()
+	if st.Retries != 0 || otherHits.Load() != 0 {
+		t.Fatalf("client cancel was retried: retries=%d other hits=%d", st.Retries, otherHits.Load())
+	}
+	for _, ss := range st.Shards {
+		if ss.State != StateHealthy || ss.Failures != 0 || ss.ConsecFails != 0 {
+			t.Fatalf("client cancel changed shard %s: %+v", ss.Addr, ss)
+		}
+	}
+}
+
+func TestRouteLatencySLOCountsFailedAttempts(t *testing.T) {
+	failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(80 * time.Millisecond)
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "injected"})
+	}))
+	defer failing.Close()
+	replica := httptest.NewServer(okHandler("replica", nil))
+	defer replica.Close()
+
+	cfg := quietConfig()
+	cfg.SLOLatency = 50 * time.Millisecond
+	rt, err := New(cfg, []string{failing.URL, replica.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	srv := httptest.NewServer(rt.Handler())
+	defer srv.Close()
+
+	// The replica answers at once, but the client waited out the failed
+	// primary first: the request is slow, and the SLO must say so.
+	code, out, _ := postVia(t, rt, bodyForPrimary(t, rt, 0))
+	if code != http.StatusOK || out["job_id"] != "replica" {
+		t.Fatalf("code=%d out=%v, want 200 from the replica", code, out)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{
+		`ecss_slo_events_total{outcome="bad",slo="route-latency"} 1`,
+		`ecss_slo_events_total{outcome="good",slo="route-latency"} 0`,
+	} {
+		if !bytes.Contains(doc, []byte(want)) {
+			t.Fatalf("router /metrics missing %q", want)
+		}
 	}
 }
 
