@@ -17,8 +17,8 @@
 //	GET  /v1/jobs/{id}/profile engine round profile fanned out to shards
 //	GET  /v1/events    aggregated firehose: every shard's events, shard-tagged
 //	GET  /v1/stats     router + per-shard health, ejections, retries
-//	GET  /metrics      Prometheus text exposition (router + per-shard health,
-//	                   shard-tagged ecss_engine_* fleet totals, SLO burn rates)
+//	GET  /metrics      Prometheus text exposition (shard-tagged engine
+//	                   rounds and messages, routing SLO burn rates)
 //	GET  /healthz      200 while >=1 shard eligible; 503 otherwise/draining
 //
 // SIGINT/SIGTERM marks the router draining (healthz 503), then gracefully

@@ -48,13 +48,13 @@
 // -check-metrics (any mode) scrapes GET /metrics from every target after
 // the load and fails on an unparseable Prometheus exposition. When metrics
 // are scraped (-check-metrics or -min-engine-rounds >= 0) the run also
-// reports the fleet's engine cost totals — CONGEST rounds and messages,
-// summed over every ecss_engine_rounds_total / ecss_engine_messages_total
-// series (a router re-exports its shards' counters shard-tagged, so one
-// router target sees the whole fleet) — and -min-engine-rounds fails the
-// run unless at least that many engine rounds were consumed, asserting the
-// engine telemetry pipeline end to end: solver -> accounting -> registry ->
-// exposition.
+// reports each target's engine cost totals — CONGEST rounds and messages,
+// summed over its ecss_engine_rounds_total / ecss_engine_messages_total
+// series (a router re-exports its shards' counters shard-tagged, so a
+// router target sees the whole fleet behind it) — and -min-engine-rounds
+// fails the run unless EVERY target reports at least that many engine
+// rounds, asserting the engine telemetry pipeline end to end on each
+// daemon: solver -> accounting -> registry -> exposition.
 //
 // Usage:
 //
@@ -126,7 +126,7 @@ func run() error {
 	stream := flag.Bool("stream", false, "stream mode: submit wait=false and consume per-job SSE streams instead of polling")
 	minStreamed := flag.Int64("min-streamed", -1, "stream mode: fail unless at least this many protocol-clean streams completed (<0: no check)")
 	checkMetrics := flag.Bool("check-metrics", false, "scrape /metrics from every target after the load and fail on an unparseable exposition")
-	minEngineRounds := flag.Int64("min-engine-rounds", -1, "fail unless the targets' /metrics report at least this many engine rounds in total (<0: no check; asserts engine telemetry end to end)")
+	minEngineRounds := flag.Int64("min-engine-rounds", -1, "fail unless every target's /metrics reports at least this many engine rounds (<0: no check; asserts engine telemetry end to end on each target)")
 	chaos := flag.Bool("chaos", false, "chaos mode: mixed priorities and deadlines, fault-tolerant outcome classification")
 	ackedOut := flag.String("acked-out", "", "chaos mode: write acknowledged results here as 'name sha256' lines")
 	verifyAcked := flag.String("verify-acked", "", "replay the acked file against the server and fail on any lost or altered result")
@@ -186,13 +186,15 @@ func run() error {
 	return nil
 }
 
-// reportEngineTotals sums the engine cost counters — CONGEST rounds and
-// messages — over every series of the fleet's expositions and gates the run
-// on -min-engine-rounds. Against ecssd shards the counters partition the
-// fleet's work; against a router they are its shard-tagged re-export of the
-// same ledgers, so either target shape sums to the fleet total.
+// reportEngineTotals prints each target's engine cost counters — CONGEST
+// rounds and messages, summed over the series of its own exposition — and
+// gates the run on -min-engine-rounds per target. Each target is gated
+// alone: an ecssd shard reports its own ledger and a router its shards'
+// ledgers re-exported shard-tagged, so a fleet sum would count a router's
+// shards twice and would let a target whose exposition lost the family
+// pass on another target's rounds.
 func reportEngineTotals(client *http.Client, targets []string, minEngineRounds int64) error {
-	var rounds, msgs float64
+	var short []string
 	for _, t := range targets {
 		resp, err := client.Get(t + "/metrics")
 		if err != nil {
@@ -203,17 +205,16 @@ func reportEngineTotals(client *http.Client, targets []string, minEngineRounds i
 		if rerr != nil {
 			return fmt.Errorf("scrape %s/metrics for engine totals: %w", t, rerr)
 		}
-		if r, ok := obs.SumSeries(doc, "ecss_engine_rounds_total"); ok {
-			rounds += r
-		}
-		if m, ok := obs.SumSeries(doc, "ecss_engine_messages_total"); ok {
-			msgs += m
+		rounds, _ := obs.SumSeries(doc, "ecss_engine_rounds_total")
+		msgs, _ := obs.SumSeries(doc, "ecss_engine_messages_total")
+		fmt.Printf("engine:        %s: %.0f rounds, %.0f messages consumed\n", t, rounds, msgs)
+		if minEngineRounds >= 0 && int64(rounds) < minEngineRounds {
+			short = append(short, fmt.Sprintf("%s reports %.0f", t, rounds))
 		}
 	}
-	fmt.Printf("engine:        %.0f rounds, %.0f messages consumed across %d target(s)\n",
-		rounds, msgs, len(targets))
-	if minEngineRounds >= 0 && int64(rounds) < minEngineRounds {
-		return fmt.Errorf("targets report %.0f engine rounds, need >= %d (engine telemetry not flowing)", rounds, minEngineRounds)
+	if len(short) > 0 {
+		return fmt.Errorf("engine rounds below -min-engine-rounds %d (engine telemetry not flowing): %s",
+			minEngineRounds, strings.Join(short, "; "))
 	}
 	return nil
 }

@@ -42,7 +42,8 @@ type Bus struct {
 	traceDropped uint64 // non-terminal events lost to the per-trace bound
 }
 
-// BusStats is the bus's own accounting, exported as metrics.
+// BusStats is the bus's own accounting; the repository benchmark reads
+// Published as events per request.
 type BusStats struct {
 	Published    uint64
 	Dropped      uint64

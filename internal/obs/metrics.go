@@ -31,41 +31,9 @@ type Sample struct {
 }
 
 // Collector emits samples at scrape time. The service and router register
-// one each, absorbing their existing stats counters into /metrics without
+// one each, exporting their existing stats counters on /metrics without
 // double bookkeeping.
 type Collector func(emit func(Sample))
-
-// Counter is a monotonically increasing value.
-type Counter struct{ bits atomic.Uint64 }
-
-// Add increases the counter by v (negative deltas are ignored).
-func (c *Counter) Add(v float64) {
-	if v < 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket latency/size distribution. Observe is
 // lock-free; buckets are cumulative at exposition time.
@@ -108,18 +76,16 @@ type familyMeta struct {
 
 type instrument struct {
 	labels []Label
-	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 }
 
-// Registry is a metrics registry with Prometheus text exposition. All
-// methods are safe for concurrent use; instrument getters are
-// get-or-create and panic on a name/type conflict (programmer error,
-// caught by the first scrape test).
+// Registry is a metrics registry with Prometheus text exposition: native
+// histograms plus scrape-time collectors. All methods are safe for
+// concurrent use; Histogram is get-or-create and panics on an invalid name
+// (programmer error, caught by the first scrape test).
 type Registry struct {
 	mu         sync.Mutex
-	fams       map[string]*familyMeta
+	help       map[string]string      // histogram family -> help text
 	instr      map[string]*instrument // name + rendered labels
 	names      []string               // family registration order (sorted at scrape)
 	collectors []Collector
@@ -127,7 +93,7 @@ type Registry struct {
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{fams: make(map[string]*familyMeta), instr: make(map[string]*instrument)}
+	return &Registry{help: make(map[string]string), instr: make(map[string]*instrument)}
 }
 
 // Collect registers a scrape-time sample source.
@@ -183,9 +149,11 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// lookup returns the instrument for (name, labels), creating it (and the
-// family) on first use. Caller must hold no registry lock.
-func (r *Registry) lookup(name, help, typ string, labels []Label) *instrument {
+// Histogram returns the histogram named name with the given labels and
+// bucket upper bounds (nil selects DurationBuckets), creating it (and the
+// family) on first use. Bounds must match on every lookup of the same
+// family.
+func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	if !validName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
@@ -197,53 +165,19 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *instrument {
 	key := name + renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if fam, ok := r.fams[name]; ok {
-		if fam.typ != typ {
-			panic("obs: metric " + name + " registered as " + fam.typ + ", requested " + typ)
-		}
-	} else {
-		r.fams[name] = &familyMeta{help: help, typ: typ}
+	if _, ok := r.help[name]; !ok {
+		r.help[name] = help
 		r.names = append(r.names, name)
 	}
 	in, ok := r.instr[key]
 	if !ok {
-		in = &instrument{labels: append([]Label(nil), labels...)}
-		switch typ {
-		case "counter":
-			in.ctr = &Counter{}
-		case "gauge":
-			in.gauge = &Gauge{}
-		}
-		r.instr[key] = in
-	}
-	return in
-}
-
-// Counter returns the counter named name with the given labels,
-// creating it on first use.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.lookup(name, help, "counter", labels).ctr
-}
-
-// Gauge returns the gauge named name with the given labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.lookup(name, help, "gauge", labels).gauge
-}
-
-// Histogram returns the histogram named name with the given labels and
-// bucket upper bounds (nil selects DurationBuckets). Bounds must match on
-// every lookup of the same family.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
-	in := r.lookup(name, help, "histogram", labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if in.hist == nil {
 		if bounds == nil {
 			bounds = DurationBuckets
 		}
 		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		h.buckets = make([]atomic.Uint64, len(h.bounds)+1)
-		in.hist = h
+		in = &instrument{labels: append([]Label(nil), labels...), hist: h}
+		r.instr[key] = in
 	}
 	return in.hist
 }
@@ -282,7 +216,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	collectors := append([]Collector(nil), r.collectors...)
 	for _, name := range r.names {
-		addFam(name, r.fams[name].help, r.fams[name].typ)
+		addFam(name, r.help[name], "histogram")
 	}
 	for key, in := range r.instr {
 		name := key
@@ -290,25 +224,18 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			name = key[:i]
 		}
 		lbls := renderLabels(in.labels)
-		switch {
-		case in.ctr != nil:
-			series[name] = append(series[name], line{name, lbls, in.ctr.Value()})
-		case in.gauge != nil:
-			series[name] = append(series[name], line{name, lbls, in.gauge.Value()})
-		case in.hist != nil:
-			h := in.hist
-			cum := uint64(0)
-			for i, b := range h.bounds {
-				cum += h.buckets[i].Load()
-				bl := append(append([]Label(nil), in.labels...), L("le", formatValue(b)))
-				series[name] = append(series[name], line{name + "_bucket", renderLabels(bl), float64(cum)})
-			}
-			count := h.count.Load()
-			bl := append(append([]Label(nil), in.labels...), L("le", "+Inf"))
-			series[name] = append(series[name], line{name + "_bucket", renderLabels(bl), float64(count)})
-			series[name] = append(series[name], line{name + "_sum", lbls, math.Float64frombits(h.sumBits.Load())})
-			series[name] = append(series[name], line{name + "_count", lbls, float64(count)})
+		h := in.hist
+		cum := uint64(0)
+		for i, b := range h.bounds {
+			cum += h.buckets[i].Load()
+			bl := append(append([]Label(nil), in.labels...), L("le", formatValue(b)))
+			series[name] = append(series[name], line{name + "_bucket", renderLabels(bl), float64(cum)})
 		}
+		count := h.count.Load()
+		bl := append(append([]Label(nil), in.labels...), L("le", "+Inf"))
+		series[name] = append(series[name], line{name + "_bucket", renderLabels(bl), float64(count)})
+		series[name] = append(series[name], line{name + "_sum", lbls, math.Float64frombits(h.sumBits.Load())})
+		series[name] = append(series[name], line{name + "_count", lbls, float64(count)})
 	}
 	r.mu.Unlock()
 

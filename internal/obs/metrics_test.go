@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bytes"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,24 +9,25 @@ import (
 
 func TestRegistryExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("ecss_test_total", "A counter.").Add(3)
-	r.Counter("ecss_test_classed_total", "Classed counter.", L("class", "interactive")).Inc()
-	r.Counter("ecss_test_classed_total", "Classed counter.", L("class", "batch")).Add(2)
-	r.Gauge("ecss_test_depth", "A gauge.").Set(7.5)
 	h := r.Histogram("ecss_test_seconds", "A histogram.", []float64{0.1, 1, 10}, L("stage", "bfs"))
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(100)
 	r.Collect(func(emit func(Sample)) {
+		emit(Sample{Name: "ecss_test_total", Help: "A counter.", Type: "counter", Value: 3})
+		emit(Sample{Name: "ecss_test_classed_total", Help: "Classed counter.", Type: "counter", Value: 1, Labels: []Label{L("class", "interactive")}})
+		emit(Sample{Name: "ecss_test_classed_total", Help: "Classed counter.", Type: "counter", Value: 2, Labels: []Label{L("class", "batch")}})
+		emit(Sample{Name: "ecss_test_depth", Help: "A gauge.", Type: "gauge", Value: 7.5})
 		emit(Sample{Name: "ecss_test_collected", Help: "Scrape-time sample.", Type: "gauge", Value: 42, Labels: []Label{L("shard", `http://s1:8081`)}})
 		emit(Sample{Name: "ecss_test_escaped", Help: "quote \" backslash \\ newline.", Type: "gauge", Value: 1, Labels: []Label{L("v", "a\"b\\c\nd")}})
 	})
 
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Content-Type = %q", ct)
 	}
-	doc := buf.String()
+	doc := rec.Body.String()
 
 	for _, want := range []string{
 		"# TYPE ecss_test_total counter",
@@ -46,7 +47,7 @@ func TestRegistryExpositionRoundTrip(t *testing.T) {
 		}
 	}
 
-	st, err := ValidateExposition(buf.Bytes())
+	st, err := ValidateExposition(rec.Body.Bytes())
 	if err != nil {
 		t.Fatalf("own exposition does not validate: %v\n%s", err, doc)
 	}
@@ -77,34 +78,13 @@ func TestValidatorRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestNewObsServesRuntimeAndBusMetrics(t *testing.T) {
-	o := New()
-	o.Bus.Publish(Event{Type: EvJobAdmitted, Job: "j1"})
-	rec := httptest.NewRecorder()
-	o.Metrics.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.Bytes()
-	if _, err := ValidateExposition(body); err != nil {
-		t.Fatalf("exposition invalid: %v\n%s", err, body)
-	}
-	for _, want := range []string{"ecss_runtime_goroutines", "ecss_events_published_total 1"} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("missing %q in:\n%s", want, body)
-		}
-	}
-	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-}
-
-func TestCounterGaugeHistogramConcurrent(t *testing.T) {
+func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ecss_conc_total", "c")
 	h := r.Histogram("ecss_conc_seconds", "h", nil)
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func() {
 			for i := 0; i < 1000; i++ {
-				c.Inc()
 				h.Observe(0.001)
 			}
 			done <- struct{}{}
@@ -113,10 +93,10 @@ func TestCounterGaugeHistogramConcurrent(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if c.Value() != 4000 {
-		t.Fatalf("counter %v, want 4000", c.Value())
-	}
 	if n := h.count.Load(); n != 4000 {
 		t.Fatalf("histogram count %d, want 4000", n)
+	}
+	if sum := math.Float64frombits(h.sumBits.Load()); math.Abs(sum-4) > 1e-9 {
+		t.Fatalf("histogram sum %v, want 4", sum)
 	}
 }

@@ -34,10 +34,10 @@ func windowLabel(w time.Duration) string {
 // burn rates respond within seconds of a bad burst.
 const sloBucketWidth = 5 * time.Second
 
-// DefaultSLOWindows are the burn-rate windows exported when the declaring
-// subsystem does not choose its own: the classic fast (5m), intermediate
-// (30m), and slow (6h) pairing set.
-var DefaultSLOWindows = []time.Duration{5 * time.Minute, 30 * time.Minute, 6 * time.Hour}
+// sloWindows are the exported burn-rate windows, ascending: the classic
+// fast (5m), intermediate (30m), and slow (6h) pairing set. The bucket ring
+// spans the last.
+var sloWindows = []time.Duration{5 * time.Minute, 30 * time.Minute, 6 * time.Hour}
 
 type sloBucket struct {
 	idx       int64 // bucket timestamp: unixNano / sloBucketWidth
@@ -46,43 +46,29 @@ type sloBucket struct {
 
 // SLO is one declared objective: a target fraction of good events.
 // Subsystems classify each observed event as good or bad (a served
-// request, a request under its latency threshold); the SLO keeps lifetime
-// totals plus a bounded ring of recent buckets for windowed burn rates.
+// request, a request under its latency threshold); the SLO keeps a bounded
+// ring of recent buckets for windowed burn rates.
 type SLO struct {
 	name      string
 	objective float64 // target good fraction in (0,1)
-	windows   []time.Duration
 
 	mu      sync.Mutex
 	ring    []sloBucket
-	good    int64 // lifetime totals
-	bad     int64
 	nowFunc func() time.Time // test hook; nil means time.Now
 }
 
 // NewSLO declares an objective (e.g. 0.99 = 99% good) and registers its
-// exposition on reg: ecss_slo_objective, ecss_slo_events_total
-// {outcome=good|bad}, and per window ecss_slo_error_ratio and
-// ecss_slo_burn_rate, all labeled {slo=name}. Objectives outside (0,1)
-// are clamped to 0.999. windows nil selects DefaultSLOWindows.
-func NewSLO(reg *Registry, name string, objective float64, windows ...time.Duration) *SLO {
+// exposition on reg: per window ecss_slo_error_ratio and
+// ecss_slo_burn_rate, labeled {slo=name, window}. Objectives outside (0,1)
+// are clamped to 0.999.
+func NewSLO(reg *Registry, name string, objective float64) *SLO {
 	if objective <= 0 || objective >= 1 {
 		objective = 0.999
-	}
-	if len(windows) == 0 {
-		windows = DefaultSLOWindows
-	}
-	longest := windows[0]
-	for _, w := range windows {
-		if w > longest {
-			longest = w
-		}
 	}
 	s := &SLO{
 		name:      name,
 		objective: objective,
-		windows:   append([]time.Duration(nil), windows...),
-		ring:      make([]sloBucket, longest/sloBucketWidth+2),
+		ring:      make([]sloBucket, sloWindows[len(sloWindows)-1]/sloBucketWidth+2),
 	}
 	if reg != nil {
 		reg.Collect(s.collect)
@@ -97,12 +83,6 @@ func (s *SLO) now() time.Time {
 	return time.Now()
 }
 
-// Name returns the declared objective's name.
-func (s *SLO) Name() string { return s.name }
-
-// Objective returns the declared good-event target fraction.
-func (s *SLO) Objective() float64 { return s.objective }
-
 // Observe records one classified event.
 func (s *SLO) Observe(good bool) {
 	idx := s.now().UnixNano() / int64(sloBucketWidth)
@@ -113,10 +93,8 @@ func (s *SLO) Observe(good bool) {
 	}
 	if good {
 		b.good++
-		s.good++
 	} else {
 		b.bad++
-		s.bad++
 	}
 	s.mu.Unlock()
 }
@@ -125,14 +103,16 @@ func (s *SLO) Observe(good bool) {
 // d <= threshold.
 func (s *SLO) ObserveLatency(d, threshold time.Duration) { s.Observe(d <= threshold) }
 
-// windowCounts sums the ring buckets younger than w, including the current
-// partial bucket. Caller holds s.mu.
-func (s *SLO) windowCounts(nowIdx int64, w time.Duration) (good, bad int64) {
+// errorRatio is the bad-event fraction of the ring buckets younger than w,
+// including the current partial bucket; 0 when they saw no events. Caller
+// holds s.mu.
+func (s *SLO) errorRatio(nowIdx int64, w time.Duration) float64 {
 	span := int64(w / sloBucketWidth)
 	if span < 1 {
 		span = 1
 	}
 	lo := nowIdx - span + 1
+	var good, bad int64
 	for i := range s.ring {
 		b := &s.ring[i]
 		if b.idx >= lo && b.idx <= nowIdx {
@@ -140,7 +120,10 @@ func (s *SLO) windowCounts(nowIdx int64, w time.Duration) (good, bad int64) {
 			bad += b.bad
 		}
 	}
-	return good, bad
+	if good+bad == 0 {
+		return 0
+	}
+	return float64(bad) / float64(good+bad)
 }
 
 // BurnRate returns the error-budget burn rate over window w: the bad-event
@@ -149,48 +132,26 @@ func (s *SLO) windowCounts(nowIdx int64, w time.Duration) (good, bad int64) {
 func (s *SLO) BurnRate(w time.Duration) float64 {
 	nowIdx := s.now().UnixNano() / int64(sloBucketWidth)
 	s.mu.Lock()
-	good, bad := s.windowCounts(nowIdx, w)
+	ratio := s.errorRatio(nowIdx, w)
 	s.mu.Unlock()
-	if good+bad == 0 {
-		return 0
-	}
-	return (float64(bad) / float64(good+bad)) / (1 - s.objective)
+	return ratio / (1 - s.objective)
 }
 
 // collect is the registered scrape-time exposition.
 func (s *SLO) collect(emit func(Sample)) {
 	l := L("slo", s.name)
 	nowIdx := s.now().UnixNano() / int64(sloBucketWidth)
+	ratios := make([]float64, len(sloWindows))
 	s.mu.Lock()
-	good, bad := s.good, s.bad
-	type wrow struct {
-		label      string
-		ratio, br  float64
-		seenEvents bool
-	}
-	rows := make([]wrow, 0, len(s.windows))
-	for _, w := range s.windows {
-		wg, wb := s.windowCounts(nowIdx, w)
-		row := wrow{label: windowLabel(w)}
-		if wg+wb > 0 {
-			row.seenEvents = true
-			row.ratio = float64(wb) / float64(wg+wb)
-			row.br = row.ratio / (1 - s.objective)
-		}
-		rows = append(rows, row)
+	for i, w := range sloWindows {
+		ratios[i] = s.errorRatio(nowIdx, w)
 	}
 	s.mu.Unlock()
-	emit(Sample{Name: "ecss_slo_objective", Help: "Declared good-event target fraction per SLO.",
-		Type: "gauge", Value: s.objective, Labels: []Label{l}})
-	emit(Sample{Name: "ecss_slo_events_total", Help: "Events classified against each SLO.",
-		Type: "counter", Value: float64(good), Labels: []Label{l, L("outcome", "good")}})
-	emit(Sample{Name: "ecss_slo_events_total", Help: "Events classified against each SLO.",
-		Type: "counter", Value: float64(bad), Labels: []Label{l, L("outcome", "bad")}})
-	for _, row := range rows {
-		wl := L("window", row.label)
+	for i, w := range sloWindows {
+		wl := L("window", windowLabel(w))
 		emit(Sample{Name: "ecss_slo_error_ratio", Help: "Bad-event fraction per SLO over each declared window.",
-			Type: "gauge", Value: row.ratio, Labels: []Label{l, wl}})
+			Type: "gauge", Value: ratios[i], Labels: []Label{l, wl}})
 		emit(Sample{Name: "ecss_slo_burn_rate", Help: "Error-budget burn rate per SLO over each declared window (1 = budget consumed exactly at period end).",
-			Type: "gauge", Value: row.br, Labels: []Label{l, wl}})
+			Type: "gauge", Value: ratios[i] / (1 - s.objective), Labels: []Label{l, wl}})
 	}
 }

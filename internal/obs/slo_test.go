@@ -10,7 +10,7 @@ import (
 
 func TestSLOBurnRateWindows(t *testing.T) {
 	reg := NewRegistry()
-	s := NewSLO(reg, "solve-latency", 0.99, 5*time.Minute, time.Hour)
+	s := NewSLO(reg, "solve-latency", 0.99)
 	now := time.Unix(1_700_000_000, 0)
 	s.nowFunc = func() time.Time { return now }
 
@@ -31,35 +31,31 @@ func TestSLOBurnRateWindows(t *testing.T) {
 		t.Fatalf("burn rate after burst %.4f, want 50.5", br)
 	}
 
-	// Ten minutes later the 5m window has forgotten the burst; the 1h
+	// Ten minutes later the 5m window has forgotten the burst; the 30m
 	// window still remembers it.
 	now = now.Add(10 * time.Minute)
 	s.Observe(true)
 	if br := s.BurnRate(5 * time.Minute); br != 0 {
 		t.Fatalf("5m burn rate %.4f after quiet period, want 0", br)
 	}
-	if br := s.BurnRate(time.Hour); br < 25 {
-		t.Fatalf("1h burn rate %.4f, want the burst still visible (>=25)", br)
+	if br := s.BurnRate(30 * time.Minute); br < 25 {
+		t.Fatalf("30m burn rate %.4f, want the burst still visible (>=25)", br)
 	}
 
-	// An hour later both windows are clean.
-	now = now.Add(time.Hour)
-	if br := s.BurnRate(time.Hour); br != 0 {
-		t.Fatalf("1h burn rate %.4f after expiry, want 0", br)
-	}
-
+	// The exposition carries every default window, and the 5m window reads
+	// clean while the others do not.
 	var buf bytes.Buffer
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	doc := buf.String()
 	for _, want := range []string{
-		`ecss_slo_objective{slo="solve-latency"} 0.99`,
-		`ecss_slo_events_total{outcome="bad",slo="solve-latency"} 101`,
-		`ecss_slo_events_total{outcome="good",slo="solve-latency"} 100`,
-		`ecss_slo_burn_rate{slo="solve-latency",window="5m"}`,
-		`ecss_slo_burn_rate{slo="solve-latency",window="1h"}`,
-		`ecss_slo_error_ratio{slo="solve-latency",window="1h"}`,
+		`ecss_slo_error_ratio{slo="solve-latency",window="5m"} 0` + "\n",
+		`ecss_slo_burn_rate{slo="solve-latency",window="5m"} 0` + "\n",
+		`ecss_slo_error_ratio{slo="solve-latency",window="30m"} 0.5`,
+		`ecss_slo_burn_rate{slo="solve-latency",window="30m"} 50.2`,
+		`ecss_slo_error_ratio{slo="solve-latency",window="6h"} 0.5`,
+		`ecss_slo_burn_rate{slo="solve-latency",window="6h"} 50.2`,
 	} {
 		if !strings.Contains(doc, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, doc)
@@ -68,18 +64,30 @@ func TestSLOBurnRateWindows(t *testing.T) {
 	if _, err := ValidateExposition(buf.Bytes()); err != nil {
 		t.Fatalf("SLO exposition does not validate: %v", err)
 	}
+
+	// Past the 30m window only the 6h window remembers; past 6h all are
+	// clean.
+	now = now.Add(30 * time.Minute)
+	if br := s.BurnRate(30 * time.Minute); br != 0 {
+		t.Fatalf("30m burn rate %.4f after expiry, want 0", br)
+	}
+	if br := s.BurnRate(6 * time.Hour); br < 25 {
+		t.Fatalf("6h burn rate %.4f, want the burst still visible (>=25)", br)
+	}
+	now = now.Add(6 * time.Hour)
+	if br := s.BurnRate(6 * time.Hour); br != 0 {
+		t.Fatalf("6h burn rate %.4f after expiry, want 0", br)
+	}
 }
 
 func TestSLOObserveLatencyAndClamp(t *testing.T) {
 	s := NewSLO(nil, "lat", 1.5) // invalid objective clamps to 0.999
-	if s.Objective() != 0.999 {
-		t.Fatalf("objective %.3f, want clamped 0.999", s.Objective())
-	}
 	now := time.Unix(1_700_000_000, 0)
 	s.nowFunc = func() time.Time { return now }
 	s.ObserveLatency(10*time.Millisecond, 100*time.Millisecond) // good
 	s.ObserveLatency(200*time.Millisecond, 100*time.Millisecond)
 	s.ObserveLatency(300*time.Millisecond, 100*time.Millisecond)
+	// Two bad of three against the clamped 0.1% budget.
 	ratio := 2.0 / 3.0
 	want := ratio / (1 - 0.999)
 	if br := s.BurnRate(5 * time.Minute); math.Abs(br-want) > 1e-9 {

@@ -3,8 +3,8 @@ package router
 // This file is the router's observability wiring (DESIGN.md §11): router.*
 // events on the shared bus, the per-shard firehose aggregator that
 // republishes every shard's events tagged with the origin shard address,
-// the metrics collector absorbing the routing counters, and the SSE proxy
-// that follows a shard-local job stream through the router.
+// the routing SLOs and the shard-tagged engine ledger on /metrics, and the
+// SSE proxy that follows a shard-local job stream through the router.
 
 import (
 	"context"
@@ -23,43 +23,18 @@ func (rt *Router) Obs() *obs.Obs { return rt.o }
 
 func (rt *Router) emit(e obs.Event) { rt.o.Bus.Publish(e) }
 
-// registerMetrics creates the router's native instruments and registers
-// the collector exporting its Stats snapshot at scrape time.
+// registerMetrics declares the routing SLOs and registers the collector
+// re-exporting the shards' engine ledgers at scrape time.
 func (rt *Router) registerMetrics() {
 	m := rt.o.Metrics
-	rt.forwardHist = m.Histogram("ecss_router_forward_seconds",
-		"Latency of deliverable 2xx forwards, first byte to full relay buffer.", nil)
 	// Declared routing SLOs (DESIGN.md §12.4): requests good iff relayed as
 	// a 2xx within Config.SLOLatency (99% target), and good iff answered
 	// with a deliverable non-5xx at all (99.9% availability target).
 	rt.sloLatency = obs.NewSLO(m, "route-latency", 0.99)
 	rt.sloAvail = obs.NewSLO(m, "route-availability", 0.999)
 	m.Collect(func(emit func(obs.Sample)) {
-		st := rt.Stats()
 		c := func(name, help string, v float64, labels ...obs.Label) {
 			emit(obs.Sample{Name: name, Help: help, Type: "counter", Value: v, Labels: labels})
-		}
-		g := func(name, help string, v float64, labels ...obs.Label) {
-			emit(obs.Sample{Name: name, Help: help, Type: "gauge", Value: v, Labels: labels})
-		}
-		c("ecss_router_requests_total", "Solve requests received.", float64(st.Requests))
-		c("ecss_router_retries_total", "Extra attempts after retryable failures.", float64(st.Retries))
-		c("ecss_router_ejections_total", "Circuit-breaker trips, active and passive.", float64(st.Ejections))
-		c("ecss_router_no_shard_total", "Requests failed for want of any eligible shard.", float64(st.NoShard))
-		g("ecss_router_eligible_shards", "Shards currently eligible for new requests.", float64(st.Eligible))
-		for _, ss := range st.Shards {
-			l := obs.L("shard", ss.Addr)
-			g("ecss_router_shard_eligible", "Whether the shard takes new requests (by state).",
-				map[bool]float64{true: 1, false: 0}[ss.State == StateHealthy || ss.State == StateHalfOpen], l)
-			c("ecss_router_shard_forwards_total", "Attempts sent to the shard.", float64(ss.Forwards), l)
-			c("ecss_router_shard_successes_total", "Successful responses from the shard.", float64(ss.Successes), l)
-			c("ecss_router_shard_failures_total", "Breaker-relevant failures of the shard.", float64(ss.Failures), l)
-			c("ecss_router_shard_ejections_total", "Times the shard was ejected.", float64(ss.Ejections), l)
-		}
-		for point, ps := range st.Faults {
-			l := obs.L("point", point)
-			c("ecss_fault_hits_total", "Fault-point traversals while a plan is armed.", float64(ps.Hits), l)
-			c("ecss_fault_fires_total", "Faults actually injected.", float64(ps.Fires), l)
 		}
 		for _, row := range rt.scrapeShardEngines() {
 			l := obs.L("shard", row.addr)
@@ -69,10 +44,6 @@ func (rt *Router) registerMetrics() {
 				float64(row.engine.ChargedRounds), l, obs.L("kind", "charged"))
 			c("ecss_engine_messages_total", "Engine messages delivered across all solves.",
 				float64(row.engine.Messages), l)
-			c("ecss_engine_words_total", "Engine payload words delivered across all solves.",
-				float64(row.engine.Words), l)
-			c("ecss_engine_profiled_solves_total", "Solves that retained a round profile.",
-				float64(row.engine.ProfiledSolves), l)
 		}
 	})
 }

@@ -107,13 +107,11 @@ type Router struct {
 	shards []*shard
 	ring   *ring
 	client *http.Client
-	// o is the observability hub (never nil after New); forwardHist is the
-	// deliverable-forward latency histogram; sloLatency and sloAvail are the
-	// declared routing SLOs (observe.go).
-	o           *obs.Obs
-	forwardHist *obs.Histogram
-	sloLatency  *obs.SLO
-	sloAvail    *obs.SLO
+	// o is the observability hub (never nil after New); sloLatency and
+	// sloAvail are the declared routing SLOs (observe.go).
+	o          *obs.Obs
+	sloLatency *obs.SLO
+	sloAvail   *obs.SLO
 
 	requests  atomic.Int64 // solve requests received
 	retries   atomic.Int64 // extra attempts after a retryable failure
@@ -218,7 +216,6 @@ type attemptResult struct {
 	header http.Header
 	body   []byte
 	err    error
-	dur    time.Duration
 }
 
 // deliverable reports whether the response should be relayed to the client
@@ -270,7 +267,6 @@ func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []b
 	sh.mu.Lock()
 	sh.forwards++
 	sh.mu.Unlock()
-	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.addr+"/v1/solve", bytes.NewReader(body))
 	if err != nil {
 		res.err = err
@@ -281,14 +277,12 @@ func (rt *Router) attempt(ctx context.Context, sh *shard, reqID string, body []b
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		res.err = err
-		res.dur = time.Since(start)
 		return res
 	}
 	defer resp.Body.Close()
 	res.status = resp.StatusCode
 	res.header = resp.Header
 	res.body, res.err = io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	res.dur = time.Since(start)
 	return res
 }
 
@@ -319,9 +313,6 @@ func (rt *Router) forward(ctx context.Context, reqID string, body []byte, cands 
 		if res.deliverable() {
 			if recovered := sh.reportSuccess(rt.cfg, false); recovered {
 				rt.emit(obs.Event{Type: obs.EvRouterShardRecovered, Shard: sh.addr})
-			}
-			if res.status < 300 {
-				rt.forwardHist.Observe(res.dur.Seconds())
 			}
 			return res, nil
 		}

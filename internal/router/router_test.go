@@ -431,13 +431,9 @@ func TestRouteLatencySLOCountsFailedAttempts(t *testing.T) {
 	}
 	doc, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{
-		`ecss_slo_events_total{outcome="bad",slo="route-latency"} 1`,
-		`ecss_slo_events_total{outcome="good",slo="route-latency"} 0`,
-	} {
-		if !bytes.Contains(doc, []byte(want)) {
-			t.Fatalf("router /metrics missing %q", want)
-		}
+	// The one request is the 5m window's only event, and it was bad.
+	if want := `ecss_slo_error_ratio{slo="route-latency",window="5m"} 1` + "\n"; !bytes.Contains(doc, []byte(want)) {
+		t.Fatalf("router /metrics missing %q", want)
 	}
 }
 
@@ -720,7 +716,7 @@ func TestProfileFanoutAndShardEngineMetrics(t *testing.T) {
 		`ecss_engine_rounds_total{kind="simulated",shard="` + without.URL + `"} 30`,
 		`ecss_engine_messages_total{shard="` + withProfile.URL + `"} 4000`,
 		`ecss_slo_burn_rate{slo="route-availability"`,
-		`ecss_slo_objective{slo="route-latency"} 0.99`,
+		`ecss_slo_error_ratio{slo="route-latency"`,
 	} {
 		if !bytes.Contains(doc, []byte(want)) {
 			t.Fatalf("router /metrics missing %q", want)

@@ -2,9 +2,10 @@ package service
 
 // This file is the service's observability wiring (DESIGN.md §11):
 // lifecycle events published on the shared obs.Bus, a scrape-time metrics
-// collector that absorbs the existing Stats counters into /metrics without
-// double bookkeeping, and the HTTP surfaces for streaming — the process
-// firehose, per-job SSE streams, and per-job trace timelines.
+// collector that exports the Stats counters an alert or loadgen reads on
+// /metrics without double bookkeeping, and the HTTP surfaces for
+// streaming — the process firehose, per-job SSE streams, and per-job trace
+// timelines.
 
 import (
 	"encoding/hex"
@@ -28,18 +29,15 @@ func (s *Service) emit(e obs.Event) { s.o.Bus.Publish(e) }
 // are 64 hex chars and belong in the store index, not the firehose.
 func keyPrefix(k Key) string { return hex.EncodeToString(k[:6]) }
 
-// Engine histogram buckets: rounds are small integers by the paper's bounds
-// (O(D + sqrt(n) log* n) style), messages grow with m, so both families use
-// exponential grids.
-var (
-	engineRoundBuckets   = []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144}
-	engineMessageBuckets = []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
-)
+// engineRoundBuckets is the stage-round histogram's grid: rounds are small
+// integers by the paper's bounds (O(D + sqrt(n) log* n) style), so it is
+// exponential.
+var engineRoundBuckets = []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
 // observeStage records one completed pipeline stage: its wall time and
-// engine cost go to the metrics and the cost to the process engine ledger.
-// The registry getter is get-or-create, so stages appear as they are first
-// exercised.
+// engine rounds go to the metrics and its cost to the process engine
+// ledger. The registry getter is get-or-create, so stages appear as they
+// are first exercised.
 func (s *Service) observeStage(sc StageCost) {
 	m := s.o.Metrics
 	l := obs.L("stage", sc.Stage)
@@ -48,9 +46,6 @@ func (s *Service) observeStage(sc StageCost) {
 	m.Histogram("ecss_engine_stage_rounds",
 		"Engine rounds (simulated + charged) consumed per pipeline stage.",
 		engineRoundBuckets, l).Observe(float64(sc.SimulatedRounds + sc.ChargedRounds))
-	m.Histogram("ecss_engine_stage_messages",
-		"Engine messages delivered per pipeline stage.",
-		engineMessageBuckets, l).Observe(float64(sc.Messages))
 	s.mu.Lock()
 	s.stats.Engine.SimulatedRounds += sc.SimulatedRounds
 	s.stats.Engine.ChargedRounds += sc.ChargedRounds
@@ -59,23 +54,11 @@ func (s *Service) observeStage(sc StageCost) {
 	s.mu.Unlock()
 }
 
-// observeSolveCost records one terminal solve's whole-pipeline engine cost.
-func (s *Service) observeSolveCost(rounds, msgs int64) {
-	m := s.o.Metrics
-	m.Histogram("ecss_engine_solve_rounds",
-		"Engine rounds (simulated + charged) consumed per solve.",
-		engineRoundBuckets).Observe(float64(rounds))
-	m.Histogram("ecss_engine_solve_messages",
-		"Engine messages delivered per solve.",
-		engineMessageBuckets).Observe(float64(msgs))
-}
-
-// registerMetrics creates the service's native instruments and registers
-// the collector that exports the Stats snapshot at scrape time.
+// registerMetrics declares the solve SLOs and registers the collector that
+// exports, at scrape time, the part of the Stats snapshot an alert rule or
+// loadgen reads. Every other counter is read from /v1/stats.
 func (s *Service) registerMetrics() {
 	m := s.o.Metrics
-	s.solveHist = m.Histogram("ecss_solve_seconds",
-		"Solve wall time from worker pickup to terminal state.", nil)
 	// Declared SLOs (DESIGN.md §12.4): solves good iff successful within
 	// Config.SLOLatency (99% target), and good iff terminal without error
 	// (99.9% availability target). Exported as ecss_slo_* burn-rate gauges.
@@ -89,62 +72,27 @@ func (s *Service) registerMetrics() {
 		g := func(name, help string, v float64, labels ...obs.Label) {
 			emit(obs.Sample{Name: name, Help: help, Type: "gauge", Value: v, Labels: labels})
 		}
-		c("ecss_jobs_submitted_total", "Submissions passing input validation.", float64(st.Submitted))
-		c("ecss_jobs_completed_total", "Jobs whose solve finished successfully.", float64(st.Completed))
-		c("ecss_jobs_failed_total", "Jobs whose solve failed terminally.", float64(st.Failed))
 		c("ecss_solves_total", "Jobs that executed the solver pipeline.", float64(st.Solves))
-		c("ecss_solve_retries_total", "Extra solve attempts after retryable failures.", float64(st.Retries))
-		c("ecss_panics_recovered_total", "Solver panics converted to per-job errors.", float64(st.PanicsRecovered))
-		c("ecss_cache_hits_total", "Submissions served from the in-memory result cache.", float64(st.CacheHits))
-		c("ecss_coalesced_total", "Submissions attached to an identical in-flight job.", float64(st.Coalesced))
-		c("ecss_store_hits_total", "Submissions served from the disk store on a memory miss.", float64(st.StoreHits))
-		c("ecss_rejected_total", "Admission rejections by reason.", float64(st.RejectedFull), obs.L("reason", "queue_full"))
-		c("ecss_rejected_total", "Admission rejections by reason.", float64(st.RejectedDraining), obs.L("reason", "draining"))
-		g("ecss_queue_depth", "Jobs admitted but not yet picked up by a worker.", float64(st.QueueDepth))
-		g("ecss_inflight", "Distinct content keys queued or being solved.", float64(st.Inflight))
-		g("ecss_cache_entries", "Entries in the in-memory result cache.", float64(st.CacheEntries))
-		for class, cs := range st.Classes {
-			l := obs.L("class", class)
-			c("ecss_class_submitted_total", "Submissions per priority class.", float64(cs.Submitted), l)
-			g("ecss_class_queued", "Currently queued jobs per priority class.", float64(cs.Queued), l)
-			c("ecss_class_shed_total", "Queued jobs shed for higher-priority admissions.", float64(cs.Shed), l)
-			c("ecss_class_expired_total", "Jobs dropped past their deadline.", float64(cs.Expired), l)
-			c("ecss_class_canceled_total", "Queued jobs abandoned by every watcher.", float64(cs.Canceled), l)
-			c("ecss_class_rejected_full_total", "Queue-full rejections per class.", float64(cs.RejectedFull), l)
-		}
 		if ss := st.Store; ss != nil {
 			c("ecss_store_gets_total", "Store lookups by outcome.", float64(ss.Hits), obs.L("outcome", "hit"))
 			c("ecss_store_gets_total", "Store lookups by outcome.", float64(ss.Misses), obs.L("outcome", "miss"))
-			c("ecss_store_puts_total", "Entries accepted for write.", float64(ss.Puts))
-			c("ecss_store_dup_puts_total", "Writes skipped: content already stored.", float64(ss.DupPuts))
 			c("ecss_store_evictions_total", "Entries evicted to respect the byte budget.", float64(ss.Evictions))
 			c("ecss_store_corruptions_total", "Damaged entries or index records detected.", float64(ss.Corruptions))
 			c("ecss_store_write_errors_total", "Puts the writer could not persist.", float64(ss.WriteErrors))
-			c("ecss_store_quarantined_total", "Entry files moved into quarantine.", float64(ss.Quarantined))
-			c("ecss_store_restored_total", "Quarantined entries proved intact and restored.", float64(ss.Restored))
 			c("ecss_store_reverify_deleted_total", "Quarantined files deleted after repeated failures.", float64(ss.ReverifyDeleted))
 			c("ecss_store_touch_drops_total", "Atime touch records dropped on a saturated writer queue.", float64(ss.TouchDrops))
-			g("ecss_store_entries", "Live on-disk entries.", float64(ss.Entries))
 			g("ecss_store_bytes", "Live on-disk payload bytes.", float64(ss.Bytes))
-			c("ecss_store_mmap_maps_total", "Object files mapped and checksum-verified for zero-copy serving.", float64(ss.Mmap.Maps))
 			c("ecss_store_mmap_fallbacks_total", "Reads served by a private heap copy because mmap was unavailable.", float64(ss.Mmap.Fallbacks))
 			c("ecss_store_mmap_pins_total", "View pins taken on mapped entries.", float64(ss.Mmap.Pins))
 			c("ecss_store_mmap_unpins_total", "View pins released.", float64(ss.Mmap.Unpins))
 			c("ecss_store_mmap_unmap_deferred_total", "Evictions that found the entry pinned and deferred cleanup to the last release.", float64(ss.Mmap.UnmapDeferred))
-			g("ecss_store_mmap_active", "Currently mapped object files, including doomed maps kept alive by pins.", float64(ss.Mmap.ActiveMaps))
 			g("ecss_store_mmap_bytes", "Bytes of currently mapped object files.", float64(ss.Mmap.MappedBytes))
-		}
-		for point, ps := range st.Faults {
-			l := obs.L("point", point)
-			c("ecss_fault_hits_total", "Fault-point traversals while a plan is armed.", float64(ps.Hits), l)
-			c("ecss_fault_fires_total", "Faults actually injected.", float64(ps.Fires), l)
 		}
 		c("ecss_engine_rounds_total", "Engine rounds consumed across all solves, by accounting kind.",
 			float64(st.Engine.SimulatedRounds), obs.L("kind", "simulated"))
 		c("ecss_engine_rounds_total", "Engine rounds consumed across all solves, by accounting kind.",
 			float64(st.Engine.ChargedRounds), obs.L("kind", "charged"))
 		c("ecss_engine_messages_total", "Engine messages delivered across all solves.", float64(st.Engine.Messages))
-		c("ecss_engine_words_total", "Engine payload words delivered across all solves.", float64(st.Engine.Words))
 		c("ecss_engine_profiled_solves_total", "Solves that retained a round profile.", float64(st.Engine.ProfiledSolves))
 	})
 }

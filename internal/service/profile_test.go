@@ -118,10 +118,9 @@ func TestJobProfileEndToEnd(t *testing.T) {
 		t.Fatalf("exposition invalid: %v", err)
 	}
 	for _, fam := range []string{
-		"ecss_engine_rounds_total", "ecss_engine_messages_total", "ecss_engine_words_total",
-		"ecss_engine_profiled_solves_total", "ecss_engine_solve_rounds", "ecss_engine_solve_messages",
-		"ecss_engine_stage_rounds", "ecss_engine_stage_messages",
-		"ecss_slo_burn_rate", "ecss_slo_objective",
+		"ecss_engine_rounds_total", "ecss_engine_messages_total",
+		"ecss_engine_profiled_solves_total", "ecss_engine_stage_rounds",
+		"ecss_slo_burn_rate", "ecss_slo_error_ratio",
 	} {
 		if !strings.Contains(string(doc), fam) {
 			t.Fatalf("/metrics missing family %s", fam)

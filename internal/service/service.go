@@ -62,7 +62,7 @@ type Config struct {
 	// SLOLatency is the solve-latency SLO threshold: a solve counting as
 	// "good" must reach a terminal state within it (default 2s). The
 	// objectives themselves are fixed (99% latency, 99.9% availability);
-	// burn rates are exported per obs.DefaultSLOWindows.
+	// burn rates are exported over the 5m, 30m and 6h windows.
 	SLOLatency time.Duration
 }
 
@@ -231,11 +231,9 @@ const (
 type Service struct {
 	cfg   Config
 	store *store.Store // nil: no persistence
-	// o is the observability hub (never nil after New); solveHist is the
-	// pickup-to-terminal solve latency histogram, created once at startup;
-	// sloLatency and sloAvail are the declared solve SLOs (observe.go).
+	// o is the observability hub (never nil after New); sloLatency and
+	// sloAvail are the declared solve SLOs (observe.go).
 	o          *obs.Obs
-	solveHist  *obs.Histogram
 	sloLatency *obs.SLO
 	sloAvail   *obs.SLO
 
@@ -594,8 +592,6 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 	s.mu.Unlock()
-	s.solveHist.Observe(dur / float64(time.Second))
-	s.observeSolveCost(jobRounds, jobMsgs)
 	s.sloAvail.Observe(err == nil)
 	if err == nil {
 		s.sloLatency.ObserveLatency(time.Duration(dur), s.cfg.SLOLatency)
