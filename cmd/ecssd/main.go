@@ -21,11 +21,11 @@
 // checksums and quarantining corrupt entries — and a memory-cache miss reads
 // the store before solving, so previously solved instances are served
 // byte-identically with no new solves. -store-max-bytes bounds the on-disk
-// size via LRU eviction. Entry files are mmapped and checksum-verified
-// once; a job served from the store keeps its own copy of the result. With
-// -store-read-only the directory is never mutated, so N shards can serve
-// one warm store concurrently (behind ecssrouter, say) while sharing the
-// mapped pages.
+// size via LRU eviction. Every store read re-reads the entry file and
+// verifies its checksum; a job served from the store keeps its own copy of
+// the result. With -store-read-only the directory is never mutated, so N
+// shards can serve one warm store concurrently (behind ecssrouter, say),
+// sharing the kernel's page cache for its files.
 //
 // SIGINT/SIGTERM triggers a graceful drain: admission stops (503), queued
 // jobs finish, pending store writes are flushed, then the process exits 0.

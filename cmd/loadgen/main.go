@@ -11,9 +11,6 @@
 // -max-solves fails if the server ran MORE than that many solver
 // invocations — `-max-solves 0` against a warm-restarted ecssd asserts that
 // every request was served from the persisted store with zero new solves.
-// -min-mmap-maps fails unless the stores mapped at least that many entry
-// files, asserting the zero-copy read path (not the heap fallback) carried
-// the serving.
 //
 // Chaos mode (-chaos) drives a server with armed fault injection: requests
 // carry randomized priority classes and deadlines, and every response is
@@ -62,7 +59,7 @@
 //	        [-duration 10s] [-concurrency 8]
 //	        [-n 96] [-families er,grid,ring,random,ba] [-seeds 4]
 //	        [-eps 0.25] [-min-cache-hits -1] [-min-store-hits -1]
-//	        [-max-solves -1] [-min-mmap-maps -1] [-check-metrics]
+//	        [-max-solves -1] [-check-metrics]
 //	        [-min-engine-rounds -1]
 //	        [-stream] [-min-streamed -1]
 //	        [-chaos] [-acked-out FILE] [-verify-acked FILE]
@@ -121,7 +118,6 @@ func run() error {
 	eps := flag.Float64("eps", 0.25, "approximation slack")
 	minCacheHits := flag.Int64("min-cache-hits", -1, "fail unless the server reports at least this many cache hits (<0: no check)")
 	minStoreHits := flag.Int64("min-store-hits", -1, "fail unless the server reports at least this many disk-store hits (<0: no check)")
-	minMmapMaps := flag.Int64("min-mmap-maps", -1, "fail unless the server stores report at least this many mmapped entry files in total (<0: no check; asserts the zero-copy read path is live)")
 	maxSolves := flag.Int64("max-solves", -1, "fail if the server ran more than this many solves (<0: no check; 0 gates a warm restart)")
 	stream := flag.Bool("stream", false, "stream mode: submit wait=false and consume per-job SSE streams instead of polling")
 	minStreamed := flag.Int64("min-streamed", -1, "stream mode: fail unless at least this many protocol-clean streams completed (<0: no check)")
@@ -170,7 +166,7 @@ func run() error {
 	case *stream:
 		modeErr = runStream(client, targets, items, *duration, *concurrency, *minStreamed)
 	default:
-		modeErr = runSteady(client, targets, items, *duration, *concurrency, *minCacheHits, *minStoreHits, *maxSolves, *minMmapMaps)
+		modeErr = runSteady(client, targets, items, *duration, *concurrency, *minCacheHits, *minStoreHits, *maxSolves)
 	}
 	if modeErr != nil {
 		return modeErr
@@ -219,7 +215,7 @@ func reportEngineTotals(client *http.Client, targets []string, minEngineRounds i
 	return nil
 }
 
-func runSteady(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, minCacheHits, minStoreHits, maxSolves, minMmapMaps int64) error {
+func runSteady(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, minCacheHits, minStoreHits, maxSolves int64) error {
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -292,7 +288,6 @@ func runSteady(client *http.Client, targets []string, items []workItem, duration
 	// Gate counters sum over targets: against N shards they partition the
 	// traffic; against one router they are its fleet-wide view.
 	var total service.Stats
-	var totalMmapMaps int64
 	for _, t := range targets {
 		st, err := fetchStats(client, t)
 		if err != nil {
@@ -301,11 +296,9 @@ func runSteady(client *http.Client, targets []string, items []workItem, duration
 		fmt.Printf("server stats:  %s: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d failed\n",
 			t, st.Submitted, st.Solves, st.CacheHits, st.StoreHits, st.Coalesced, st.Failed)
 		if st.Store != nil {
-			fmt.Printf("server store:  %s: %d entries / %d bytes, %d hits, %d misses, %d puts, %d evictions, %d corruptions, %d/%d mmap maps/fallbacks, %d touch drops\n",
+			fmt.Printf("server store:  %s: %d entries / %d bytes, %d hits, %d misses, %d puts, %d evictions, %d corruptions, %d touch drops\n",
 				t, st.Store.Entries, st.Store.Bytes, st.Store.Hits, st.Store.Misses,
-				st.Store.Puts, st.Store.Evictions, st.Store.Corruptions,
-				st.Store.Mmap.Maps, st.Store.Mmap.Fallbacks, st.Store.TouchDrops)
-			totalMmapMaps += st.Store.Mmap.Maps
+				st.Store.Puts, st.Store.Evictions, st.Store.Corruptions, st.Store.TouchDrops)
 		}
 		total.Submitted += st.Submitted
 		total.Solves += st.Solves
@@ -320,9 +313,6 @@ func runSteady(client *http.Client, targets []string, items []workItem, duration
 	}
 	if maxSolves >= 0 && total.Solves > maxSolves {
 		return fmt.Errorf("servers ran %d solves, allowed <= %d (cold-served traffic on a warm restart)", total.Solves, maxSolves)
-	}
-	if minMmapMaps >= 0 && totalMmapMaps < minMmapMaps {
-		return fmt.Errorf("server stores report %d mmapped entries, need >= %d (zero-copy read path not exercised)", totalMmapMaps, minMmapMaps)
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d requests failed", failures)

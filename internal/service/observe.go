@@ -69,9 +69,6 @@ func (s *Service) registerMetrics() {
 		c := func(name, help string, v float64, labels ...obs.Label) {
 			emit(obs.Sample{Name: name, Help: help, Type: "counter", Value: v, Labels: labels})
 		}
-		g := func(name, help string, v float64, labels ...obs.Label) {
-			emit(obs.Sample{Name: name, Help: help, Type: "gauge", Value: v, Labels: labels})
-		}
 		c("ecss_solves_total", "Jobs that executed the solver pipeline.", float64(st.Solves))
 		if ss := st.Store; ss != nil {
 			c("ecss_store_gets_total", "Store lookups by outcome.", float64(ss.Hits), obs.L("outcome", "hit"))
@@ -81,12 +78,6 @@ func (s *Service) registerMetrics() {
 			c("ecss_store_write_errors_total", "Puts the writer could not persist.", float64(ss.WriteErrors))
 			c("ecss_store_reverify_deleted_total", "Quarantined files deleted after repeated failures.", float64(ss.ReverifyDeleted))
 			c("ecss_store_touch_drops_total", "Atime touch records dropped on a saturated writer queue.", float64(ss.TouchDrops))
-			g("ecss_store_bytes", "Live on-disk payload bytes.", float64(ss.Bytes))
-			c("ecss_store_mmap_fallbacks_total", "Reads served by a private heap copy because mmap was unavailable.", float64(ss.Mmap.Fallbacks))
-			c("ecss_store_mmap_pins_total", "View pins taken on mapped entries.", float64(ss.Mmap.Pins))
-			c("ecss_store_mmap_unpins_total", "View pins released.", float64(ss.Mmap.Unpins))
-			c("ecss_store_mmap_unmap_deferred_total", "Evictions that found the entry pinned and deferred cleanup to the last release.", float64(ss.Mmap.UnmapDeferred))
-			g("ecss_store_mmap_bytes", "Bytes of currently mapped object files.", float64(ss.Mmap.MappedBytes))
 		}
 		c("ecss_engine_rounds_total", "Engine rounds consumed across all solves, by accounting kind.",
 			float64(st.Engine.SimulatedRounds), obs.L("kind", "simulated"))

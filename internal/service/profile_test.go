@@ -139,6 +139,83 @@ func TestJobProfileEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJobProfileConservedUnderRetry is TestJobProfileEndToEnd's bill
+// conservation with a fault armed: the first attempt fails after
+// verification and the solve is retried once. The job.done bill must be
+// the sum of every attempt's job.stage bills, the successful attempt's
+// stages must sum to the served result's rounds and messages, and the
+// retained profile must narrate that attempt alone.
+func TestJobProfileConservedUnderRetry(t *testing.T) {
+	armFaults(t, "solve.postverify:error,count=1")
+	s := New(Config{Workers: 1})
+	defer drain(t, s)
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	j, _, err := s.Submit(testGraph(t, 5), ecss.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if st := s.Stats(); st.Retries != 1 || st.Completed != 1 {
+		t.Fatalf("stats %+v, want one retry and one completed job", st)
+	}
+	s.mu.Lock()
+	raw := j.resultJSON
+	s.mu.Unlock()
+	var res ResultWire
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+
+	// (a) Every attempt's stage bills sum to the job.done bill.
+	var stages []obs.Event
+	var done *obs.Event
+	for _, ev := range s.Obs().Bus.Trace(j.ID()) {
+		switch ev.Type {
+		case obs.EvJobStage:
+			stages = append(stages, ev)
+		case obs.EvJobDone:
+			done = &ev
+		}
+	}
+	if done == nil || len(stages) != 8 {
+		t.Fatalf("trace has %d job.stage events and job.done=%v, want 8 (two attempts) and a job.done", len(stages), done != nil)
+	}
+	var allRounds, allMsgs int64
+	for _, ev := range stages {
+		allRounds += ev.Rounds
+		allMsgs += ev.Msgs
+	}
+	if done.Rounds != allRounds || done.Msgs != allMsgs {
+		t.Fatalf("job.done bills %d rounds / %d msgs, its stages %d / %d", done.Rounds, done.Msgs, allRounds, allMsgs)
+	}
+
+	// (b) The successful attempt's four stages bill the result's cost.
+	var lastRounds, lastMsgs int64
+	for _, ev := range stages[4:] {
+		lastRounds += ev.Rounds
+		lastMsgs += ev.Msgs
+	}
+	if want := res.SimulatedRounds + res.ChargedRounds; lastRounds != want || lastMsgs != res.Messages {
+		t.Fatalf("successful attempt bills %d rounds / %d msgs, result reports %d / %d", lastRounds, lastMsgs, want, res.Messages)
+	}
+
+	// (c) The profile narrates the successful attempt only.
+	resp, err := http.Get(srv.URL + "/v1/jobs/" + j.ID() + "/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pr ProfileResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Profile == nil || pr.Profile.RoundsObserved != res.SimulatedRounds {
+		t.Fatalf("profile %+v, want rounds_observed = the result's %d simulated rounds", pr.Profile, res.SimulatedRounds)
+	}
+}
+
 func TestProfileDisabledAndCachedJobs(t *testing.T) {
 	s := New(Config{Workers: 1, ProfileRounds: -1})
 	defer drain(t, s)

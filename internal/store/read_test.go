@@ -24,7 +24,7 @@ func bigPayload(seed byte, size int) []byte {
 	return out[:size]
 }
 
-func putOne(t *testing.T, s *Store, i int, payload []byte) Key {
+func putOne(t testing.TB, s *Store, i int, payload []byte) Key {
 	t.Helper()
 	k, gh, op := mkKey(i)
 	if err := s.Put(k, gh, op, payload); err != nil {
@@ -36,125 +36,12 @@ func putOne(t *testing.T, s *Store, i int, payload []byte) Key {
 	return k
 }
 
-func TestGetViewWarmZeroCopy(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	payload := bigPayload(1, 1<<20)
-	k := putOne(t, s, 1, payload)
-
-	v1, ok := s.GetView(k)
-	if !ok {
-		t.Fatal("GetView miss on a live entry")
-	}
-	v2, ok := s.GetView(k)
-	if !ok {
-		t.Fatal("warm GetView miss")
-	}
-	if !bytes.Equal(v1.Bytes(), payload) || !bytes.Equal(v2.Bytes(), payload) {
-		t.Fatal("view payload mismatch")
-	}
-	if !v1.Mapped() || !v2.Mapped() {
-		t.Skip("mmap unavailable on this platform: fallback path covered elsewhere")
-	}
-	// Zero-copy means both views alias one mapped image.
-	if &v1.Bytes()[0] != &v2.Bytes()[0] {
-		t.Fatal("warm view does not alias the first view's mapping")
-	}
-	st := s.Stats()
-	if st.Mmap.Maps != 1 || st.Mmap.Pins != 2 || st.Mmap.ActiveMaps != 1 {
-		t.Fatalf("mmap stats %+v, want 1 map / 2 pins / 1 active", st.Mmap)
-	}
-	if st.Mmap.MappedBytes != int64(HeaderSize+len(payload)) {
-		t.Fatalf("mapped bytes %d, want %d", st.Mmap.MappedBytes, HeaderSize+len(payload))
-	}
-	v1.Release()
-	v2.Release()
-	if st := s.Stats(); st.Mmap.Unpins != 2 || st.Mmap.ActiveMaps != 1 {
-		t.Fatalf("after release: %+v, want 2 unpins and the warm mapping retained", st.Mmap)
-	}
-}
-
-// TestWarmGetViewAllocs is the acceptance gate: a warm serving hit of a
-// multi-MB entry on the mmap path — pin, LRU bump, touch record enqueued —
-// performs zero heap allocations, in particular nothing payload-sized.
-func TestWarmGetViewAllocs(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), 0)
-	defer s.Close()
-	k := putOne(t, s, 2, bigPayload(2, 4<<20))
-	v, ok := s.GetView(k)
-	if !ok {
-		t.Fatal("GetView miss")
-	}
-	if !v.Mapped() {
-		t.Skip("mmap unavailable on this platform")
-	}
-	v.Release()
-	allocs := testing.AllocsPerRun(200, func() {
-		w, ok := s.GetView(k)
-		if !ok {
-			t.Fatal("warm GetView miss")
-		}
-		if len(w.Bytes()) != 4<<20 {
-			t.Fatal("short view")
-		}
-		w.Release()
-	})
-	if allocs > 0 {
-		t.Fatalf("warm mmap GetView allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-func TestViewSurvivesEviction(t *testing.T) {
-	const mb = 1 << 20
-	s := mustOpen(t, t.TempDir(), int64(mb)+(mb/2))
-	defer s.Close()
-	payload := bigPayload(3, mb)
-	kA := putOne(t, s, 30, payload)
-	v, ok := s.GetView(kA)
-	if !ok {
-		t.Fatal("GetView miss")
-	}
-	if !v.Mapped() {
-		t.Skip("mmap unavailable on this platform")
-	}
-	// Two more megabyte entries blow the budget: A (oldest access after the
-	// puts) is evicted and its file unlinked while the view is pinned.
-	putOne(t, s, 31, bigPayload(4, mb))
-	putOne(t, s, 32, bigPayload(5, mb))
-	if s.Contains(kA) {
-		t.Fatal("A still live: eviction did not run")
-	}
-	if _, err := os.Stat(s.objPath(kA)); !os.IsNotExist(err) {
-		t.Fatalf("A's file not unlinked after eviction: %v", err)
-	}
-	// The pages outlive the unlink: the pinned view still reads the full
-	// verified payload.
-	if !bytes.Equal(v.Bytes(), payload) {
-		t.Fatal("pinned view corrupted by eviction")
-	}
-	st := s.Stats()
-	if st.Mmap.UnmapDeferred < 1 {
-		t.Fatalf("UnmapDeferred %d, want >= 1 (mapping was pinned at eviction)", st.Mmap.UnmapDeferred)
-	}
-	v.Release()
-	if st := s.Stats(); st.Mmap.ActiveMaps != 0 {
-		t.Fatalf("ActiveMaps %d after last release of a doomed mapping, want 0", st.Mmap.ActiveMaps)
-	}
-	if _, ok := s.GetView(kA); ok {
-		t.Fatal("evicted key still served")
-	}
-}
-
-// TestFallbackPinDefersUnlink drives the ReadFile path (Options.NoMmap) with
-// an injected slow read while eviction removes the entry mid-flight: the pin
-// must keep the file on disk until the read completes, then perform the
-// deferred unlink.
+// TestFallbackPinDefersUnlink drives Get with an injected slow read while
+// eviction removes the entry mid-flight: the pin must keep the file on disk
+// until the read completes, then perform the deferred unlink.
 func TestFallbackPinDefersUnlink(t *testing.T) {
 	const kb256 = 256 << 10
-	s, err := OpenWith(t.TempDir(), Options{MaxBytes: kb256 + kb256/2, NoMmap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, t.TempDir(), kb256+kb256/2)
 	defer s.Close()
 	payload := bigPayload(6, kb256)
 	kA := putOne(t, s, 40, payload)
@@ -180,17 +67,62 @@ func TestFallbackPinDefersUnlink(t *testing.T) {
 	}
 	r := <-ch
 	if !r.ok || !bytes.Equal(r.b, payload) {
-		t.Fatalf("pinned fallback read failed (ok=%v)", r.ok)
+		t.Fatalf("pinned read failed (ok=%v)", r.ok)
 	}
 	if _, err := os.Stat(s.objPath(kA)); !os.IsNotExist(err) {
 		t.Fatalf("deferred unlink never happened: %v", err)
 	}
-	st := s.Stats()
-	if st.Mmap.Fallbacks < 1 {
-		t.Fatalf("Fallbacks %d, want >= 1 on a NoMmap store", st.Mmap.Fallbacks)
-	}
-	if st.Mmap.UnmapDeferred < 1 {
-		t.Fatalf("UnmapDeferred %d, want >= 1 (unlink was deferred by the pin)", st.Mmap.UnmapDeferred)
+}
+
+// TestGetVerifiesEveryRead damages an object file after it has been read
+// once: every later Get must re-read and re-verify it, so the damaged
+// bytes are never served and the file is quarantined.
+func TestGetVerifiesEveryRead(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		damage func(f *os.File) error
+	}{
+		{"flipped-byte", func(f *os.File) error {
+			b := make([]byte, 1)
+			if _, err := f.ReadAt(b, HeaderSize+100); err != nil {
+				return err
+			}
+			b[0] ^= 0xff
+			_, err := f.WriteAt(b, HeaderSize+100)
+			return err
+		}},
+		{"truncated", func(f *os.File) error { return f.Truncate(HeaderSize + 10) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := mustOpen(t, t.TempDir(), 0)
+			defer s.Close()
+			payload := bigPayload(13, 64<<10)
+			k := putOne(t, s, 70, payload)
+			if b, ok := s.Get(k); !ok || !bytes.Equal(b, payload) {
+				t.Fatalf("first Get did not serve the stored payload (ok=%v)", ok)
+			}
+			f, err := os.OpenFile(s.objPath(k), os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.damage(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Stats().Corruptions
+			if b, ok := s.Get(k); ok {
+				t.Fatalf("damaged entry served (%d bytes, equal to the original: %v)", len(b), bytes.Equal(b, payload))
+			}
+			if got := s.Stats().Corruptions; got != before+1 {
+				t.Fatalf("Corruptions %d after the damaged read, want %d", got, before+1)
+			}
+			if _, err := os.Stat(s.quarantinePath(k)); err != nil {
+				t.Fatalf("damaged file not quarantined: %v", err)
+			}
+		})
 	}
 }
 
@@ -232,7 +164,7 @@ func TestGetDoesNotBlockPutOrStats(t *testing.T) {
 
 // TestMultiMBRoundTripAndCrashWindows covers the payloads the old
 // "entry payloads are small canonical JSON" comment assumed away: multi-MB
-// entries round-trip on both read paths, survive a stray temp file from a
+// entries round-trip, survive a stray temp file from a
 // crash mid-write, and are re-adopted from the objects directory when the
 // crash landed between rename and index append.
 func TestMultiMBRoundTripAndCrashWindows(t *testing.T) {
@@ -246,14 +178,9 @@ func TestMultiMBRoundTripAndCrashWindows(t *testing.T) {
 		k    Key
 		want []byte
 	}{{k3, p3}, {k7, p7}} {
-		v, ok := s.GetView(c.k)
-		if !ok || !bytes.Equal(v.Bytes(), c.want) {
-			t.Fatalf("GetView mismatch (ok=%v)", ok)
-		}
-		v.Release()
 		b, ok := s.Get(c.k)
 		if !ok || !bytes.Equal(b, c.want) {
-			t.Fatalf("Get copy mismatch (ok=%v)", ok)
+			t.Fatalf("Get mismatch (ok=%v)", ok)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -279,11 +206,9 @@ func TestMultiMBRoundTripAndCrashWindows(t *testing.T) {
 	if st.Entries != 2 || st.Corruptions != 0 {
 		t.Fatalf("reopen stats %+v, want 2 adopted entries, 0 corruptions", st)
 	}
-	v, ok := s2.GetView(k7)
-	if !ok || !bytes.Equal(v.Bytes(), p7) {
+	if b, ok := s2.Get(k7); !ok || !bytes.Equal(b, p7) {
 		t.Fatalf("7MB orphan not re-adopted byte-identically (ok=%v)", ok)
 	}
-	v.Release()
 	if b, ok := s2.Get(k3); !ok || !bytes.Equal(b, p3) {
 		t.Fatalf("3MB orphan not re-adopted byte-identically (ok=%v)", ok)
 	}
@@ -398,8 +323,8 @@ func TestTouchDropsCounted(t *testing.T) {
 }
 
 // TestTortureConcurrentMultiMB is the -race gate from the acceptance
-// criteria: concurrent GetView/Get, re-Puts, evictions (tight byte budget),
-// whole-key-set GetView sweeps, and Reverify passes over multi-megabyte
+// criteria: concurrent Gets, re-Puts, evictions (tight byte budget),
+// whole-key-set Get sweeps, and Reverify passes over multi-megabyte
 // entries.
 func TestTortureConcurrentMultiMB(t *testing.T) {
 	const mb = 1 << 20
@@ -419,7 +344,7 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) { // readers: pinned views held across other goroutines' evictions
+		go func(g int) { // readers: pinned reads racing other goroutines' evictions
 			defer wg.Done()
 			for i := 0; ; i++ {
 				select {
@@ -428,11 +353,8 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 				default:
 				}
 				idx := (g + i) % nKeys
-				if v, ok := s.GetView(keys[idx]); ok {
-					if !bytes.Equal(v.Bytes(), payloads[idx]) {
-						t.Error("view payload mismatch under torture")
-					}
-					v.Release()
+				if b, ok := s.Get(keys[idx]); ok && !bytes.Equal(b, payloads[idx]) {
+					t.Error("payload mismatch under torture")
 				}
 			}
 		}(g)
@@ -464,9 +386,7 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 			default:
 			}
 			for _, k := range keys {
-				if v, ok := s.GetView(k); ok {
-					v.Release()
-				}
+				s.Get(k)
 			}
 			s.Reverify()
 		}
@@ -486,50 +406,24 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 	}
 }
 
-// BenchmarkGetViewWarm is the before/after row for the bench trajectory:
-// bytes/op and allocs/op of a warm 1MB store hit on the zero-copy path.
-func BenchmarkGetViewWarm(b *testing.B) {
-	benchWarmGet(b, false, func(s *Store, k Key) {
-		v, ok := s.GetView(k)
-		if !ok {
-			b.Fatal("miss")
-		}
-		_ = v.Bytes()[0]
-		v.Release()
-	})
-}
-
-// BenchmarkGetCopyWarm measures the same warm hit through the copying Get —
-// the fallback-equivalent cost the mmap path removes.
-func BenchmarkGetCopyWarm(b *testing.B) {
-	benchWarmGet(b, true, func(s *Store, k Key) {
-		p, ok := s.Get(k)
-		if !ok {
-			b.Fatal("miss")
-		}
-		_ = p[0]
-	})
-}
-
-func benchWarmGet(b *testing.B, noMmap bool, get func(*Store, Key)) {
-	s, err := OpenWith(b.TempDir(), Options{NoMmap: noMmap})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	k, gh, op := mkKey(1)
-	payload := bigPayload(1, 1<<20)
-	if err := s.Put(k, gh, op, payload); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	get(s, k) // warm the mapping
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		get(s, k)
+// BenchmarkGetWarm prices one store hit: pin, file read, SHA-256 verify,
+// LRU bump and touch record. 5.7 KB is an n=256 result; 1 MB is a large one.
+func BenchmarkGetWarm(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		size int
+	}{{"5.7KB", 5700}, {"1MB", 1 << 20}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := mustOpen(b, b.TempDir(), 0)
+			defer s.Close()
+			k := putOne(b, s, 1, bigPayload(1, c.size))
+			b.SetBytes(int64(c.size))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, ok := s.Get(k); !ok {
+					b.Fatal("miss")
+				}
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ import (
 // Stats counts store traffic. It is embedded in the service's /v1/stats
 // payload, so the field set is part of the operational API.
 type Stats struct {
-	// Hits and Misses count lookups, through GetView or Get.
+	// Hits and Misses count lookups.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Puts counts entries accepted for write; DupPuts counts writes skipped
@@ -61,23 +61,30 @@ type Stats struct {
 	// Entries and Bytes describe the live on-disk set.
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// Mmap counts the zero-copy read path (mmap.go).
-	Mmap MmapStats `json:"mmap"`
+	// Mmap is never set: it is kept only because the repository benchmark
+	// reads it, and it is not part of the JSON payload.
+	Mmap MmapStats `json:"-"`
+}
+
+// MmapStats is what is left of the deleted mmap read path's counters.
+// Nothing increments them.
+type MmapStats struct {
+	Maps      int64
+	Fallbacks int64
 }
 
 // ErrClosed reports an operation on a closed store.
 var ErrClosed = errors.New("store: closed")
+
+// ErrReadOnly reports a mutating operation on a store opened with
+// Options.ReadOnly.
+var ErrReadOnly = errors.New("store: read-only")
 
 type entry struct {
 	key   Key
 	size  int64 // header + payload bytes on disk
 	atime int64 // unix nanoseconds of last recorded access
 	el    *list.Element
-	// pins counts off-lock loads of this entry's file in flight; eviction
-	// of a pinned entry sets doomed and defers the unlink to the last
-	// unpin instead of yanking the file out from under the read.
-	pins   int
-	doomed bool
 }
 
 // writeOp is one unit of work for the background writer: a put (payload
@@ -103,9 +110,8 @@ type Store struct {
 	bus      *obs.Bus // nil: events disabled
 	// ro marks a read-only store (Options.ReadOnly): no writer, no index
 	// mutation, no eviction, no quarantine renames — N daemons can serve
-	// one warm directory. noMmap forces the heap fallback on every read.
-	ro     bool
-	noMmap bool
+	// one warm directory.
+	ro bool
 
 	mu        sync.Mutex
 	entries   map[Key]*entry
@@ -114,9 +120,12 @@ type Store struct {
 	stats     Stats
 	indexF    *os.File
 	lastStamp int64 // high-water access-time stamp (see stampLocked)
-	// maps holds the live mmapped file images serving warm zero-copy hits;
-	// nil once the store is closed (later loads then map one-shot).
-	maps map[Key]*mapping
+	// pins counts each key's off-lock file reads in flight. Evicting a
+	// pinned key marks it doomed instead of unlinking its file, and the
+	// last reader unlinks it (unpinLocked). A put of the key takes the path
+	// over, so it clears doomed before it writes the new file.
+	pins   map[Key]int
+	doomed map[Key]bool
 	// strikes counts consecutive failed reverifications per quarantined
 	// key; at reverifyStrikes the file is deleted for good.
 	strikes map[Key]int
@@ -153,10 +162,6 @@ type Options struct {
 	// Several read-only stores (in one process or many) can serve a single
 	// warm directory concurrently; MaxBytes and ReverifyEvery are ignored.
 	ReadOnly bool
-	// NoMmap forces every read through the portable heap-copy path even
-	// where mmap is available — the fallback matrix knob for tests and
-	// benchmarks.
-	NoMmap bool
 }
 
 // Open creates or reopens the store rooted at dir, bounded to maxBytes of
@@ -192,10 +197,10 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		maxBytes: o.MaxBytes,
 		bus:      o.Bus,
 		ro:       o.ReadOnly,
-		noMmap:   o.NoMmap,
 		entries:  make(map[Key]*entry),
 		ll:       list.New(),
-		maps:     make(map[Key]*mapping),
+		pins:     make(map[Key]int),
+		doomed:   make(map[Key]bool),
 		strikes:  make(map[Key]int),
 	}
 	if err := s.scan(); err != nil {
@@ -330,13 +335,13 @@ func (s *Store) scan() error {
 		if !r.live {
 			continue
 		}
-		size, err := verifyEntryFile(s.objPath(k), k)
+		b, err := readEntryFile(s.objPath(k), k)
 		if err != nil {
 			s.stats.Corruptions++
 			s.quarantineLocked(k)
 			continue
 		}
-		live = append(live, liveEnt{k: k, size: size, atime: r.atime})
+		live = append(live, liveEnt{k: k, size: int64(len(b)), atime: r.atime})
 	}
 	// One sort, then append in order: the replay map iterates randomly and
 	// a per-entry sorted insert would make reopening a large store O(n^2).
@@ -355,15 +360,17 @@ func (s *Store) scan() error {
 	return nil
 }
 
-// verifyEntryFile checks that the file at path is a well-formed entry for
-// key: decodable current-version header, matching stored key, exact length,
-// and payload SHA-256 equal to the header checksum.
-func verifyEntryFile(path string, key Key) (size int64, err error) {
+// readEntryFile reads the entry file at path and returns its image once
+// verifyBytes accepts it for key.
+func readEntryFile(path string, key Key) ([]byte, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return verifyBytes(b, key)
+	if _, err := verifyBytes(b, key); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // emit publishes a store event when a bus is configured. Safe under s.mu:
@@ -475,24 +482,122 @@ func parseIndexLine(line string) (k Key, op string, atime int64, ok bool) {
 	return k, op, atime, true
 }
 
-// Get returns the stored payload for key as a private copy that stays
-// valid after eviction or Close, or ok=false on a miss: a GetView whose pin
-// is released once the payload is copied out (the heap fallback's bytes are
-// already private and are returned as is).
+// Get returns the stored payload for key, or ok=false on a miss. Every hit
+// reads the object file and verifies it end-to-end against its header
+// checksum, so a file damaged on disk is never served: it is quarantined
+// and reported as a miss. The payload is a private copy that stays valid
+// after eviction or Close. The access time of a hit feeds LRU eviction. No
+// lock is held across the read or the hash: the key is pinned instead, so
+// an eviction meanwhile defers its unlink to the last reader.
 func (s *Store) Get(key Key) (payload []byte, ok bool) {
-	v, ok := s.GetView(key)
+	s.mu.Lock()
+	e, ok := s.entries[key]
 	if !ok {
+		s.stats.Misses++
+		s.mu.Unlock()
 		return nil, false
 	}
-	if !v.Mapped() {
-		return v.Bytes(), true
+	s.pins[key]++
+	s.mu.Unlock()
+
+	// store.read simulates a transient read failure (EIO): the entry is
+	// quarantined exactly as a real one would be, and — since the file
+	// itself is intact — the reverifier later proves it clean and restores
+	// it. That loop is what the chaos smoke gates on.
+	var img []byte
+	err := faults.Point("store.read")
+	if err == nil {
+		img, err = readEntryFile(s.objPath(key), key)
 	}
-	b := slices.Clone(v.Bytes())
-	v.Release()
-	return b, true
+
+	s.mu.Lock()
+	s.unpinLocked(key)
+	cur, live := s.entries[key]
+	sameEntry := live && cur == e
+	var now int64
+	switch {
+	case err != nil:
+		s.stats.Misses++
+		if sameEntry {
+			// A failed read may be transient or real: quarantine for the
+			// reverifier to adjudicate.
+			s.stats.Corruptions++
+			s.dropLocked(e)
+			s.quarantineLocked(key)
+		}
+	case sameEntry:
+		s.stats.Hits++
+		now = s.stampLocked()
+		e.atime = now
+		s.ll.MoveToFront(e.el)
+	default:
+		s.stats.Hits++
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, false
+	}
+	if now != 0 {
+		s.recordTouch(key, now)
+	}
+	return img[HeaderSize:], true
 }
 
-// verifyBytes is verifyEntryFile over an already-read file image.
+// unpinLocked drops one read pin on key. The last reader of a key evicted
+// while pinned performs the deferred unlink. It does so under s.mu: a put
+// of the same key clears doomed under s.mu before renaming its new file
+// into place, so the unlink can never remove a file a newer entry owns.
+// Caller holds s.mu.
+func (s *Store) unpinLocked(key Key) {
+	if s.pins[key]--; s.pins[key] > 0 {
+		return
+	}
+	delete(s.pins, key)
+	if s.doomed[key] {
+		delete(s.doomed, key)
+		os.Remove(s.objPath(key))
+	}
+}
+
+// View is one store read as GetView returns it. It is kept only because
+// the repository benchmark calls GetView; new code calls Get.
+type View struct{ payload []byte }
+
+// Bytes returns the entry payload.
+func (v View) Bytes() []byte { return v.payload }
+
+// Release does nothing: a View's bytes are a private copy.
+func (v View) Release() {}
+
+// GetView is Get, wrapped in a View.
+func (s *Store) GetView(key Key) (View, bool) {
+	b, ok := s.Get(key)
+	return View{payload: b}, ok
+}
+
+// recordTouch enqueues a best-effort persistent atime record: drop it —
+// counted, so eviction-order degradation is observable — rather than block
+// a read behind a saturated writer.
+func (s *Store) recordTouch(key Key, atime int64) {
+	if s.ro {
+		return
+	}
+	s.closeMu.RLock()
+	if !s.closed {
+		select {
+		case s.writeCh <- writeOp{key: key, atime: atime}:
+		default:
+			s.mu.Lock()
+			s.stats.TouchDrops++
+			s.mu.Unlock()
+		}
+	}
+	s.closeMu.RUnlock()
+}
+
+// verifyBytes checks that b is a well-formed entry file image for key:
+// decodable current-version header, matching stored key, exact length, and
+// payload SHA-256 equal to the header checksum.
 func verifyBytes(b []byte, key Key) (int64, error) {
 	h, err := DecodeHeader(b)
 	if err != nil {
@@ -591,27 +696,12 @@ func (s *Store) Close() error {
 		s.writeCh <- writeOp{stop: true}
 		<-s.done
 	}
-	s.mu.Lock()
-	// Unmap whatever no reader still pins; pinned mappings are doomed and
-	// munmapped by their last Release. Nil-ing the table makes later loads
-	// serve one-shot doomed mappings instead of rewarming a closed store.
-	var unmaps [][]byte
-	for k := range s.maps {
-		if d, _ := s.doomMappingLocked(k); d != nil {
-			unmaps = append(unmaps, d)
-		}
+	if s.indexF == nil {
+		return nil
 	}
-	s.maps = nil
-	var err error
-	if s.indexF != nil {
-		err = s.indexF.Sync()
-		if cerr := s.indexF.Close(); err == nil {
-			err = cerr
-		}
-	}
-	s.mu.Unlock()
-	for _, d := range unmaps {
-		_ = unmapFile(d)
+	err := s.indexF.Sync()
+	if cerr := s.indexF.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -657,6 +747,10 @@ func (s *Store) applyPut(op writeOp) {
 		s.mu.Unlock()
 		return
 	}
+	// The new file replaces any evicted one still pinned by a reader, so
+	// that reader must not unlink the path when it finishes. If the write
+	// fails, the old file stays as an orphan for the next Open to adopt.
+	delete(s.doomed, op.key)
 	s.mu.Unlock()
 
 	size, err := s.writeObject(op)
@@ -698,9 +792,6 @@ func (s *Store) applyPut(op writeOp) {
 	}
 	for _, k := range ev.victims {
 		os.Remove(s.objPath(k))
-	}
-	for _, d := range ev.unmaps {
-		_ = unmapFile(d)
 	}
 	if ev.count > 0 {
 		s.emitEvictPressure(ev)
@@ -752,12 +843,10 @@ func (s *Store) writeObject(op writeOp) (int64, error) {
 // evictResult is one eviction pass's outcome: evicted lists every removed
 // key (for per-key events), victims the subset whose files the caller must
 // unlink outside the lock (unpinned entries only — pinned ones defer the
-// unlink to their last unpin), unmaps the mapped regions to munmap outside
-// the lock, reclaimed/count the pressure-summary numbers.
+// unlink to their last unpin), reclaimed/count the pressure-summary numbers.
 type evictResult struct {
 	evicted   []Key
 	victims   []Key
-	unmaps    [][]byte
 	reclaimed int64
 	count     int
 }
@@ -767,8 +856,7 @@ type evictResult struct {
 // budget rather than thrash). Deletion records are appended to lines when
 // non-nil (runtime path); the Open path compacts the index right after
 // instead. An entry pinned by an in-flight read is dropped from the live
-// set but its file survives until the last unpin; a mapped entry's region
-// likewise survives until its last view releases. Caller holds s.mu (or is
+// set but its file survives until the last unpin. Caller holds s.mu (or is
 // single-threaded Open).
 func (s *Store) evictLocked(lines *strings.Builder) evictResult {
 	var r evictResult
@@ -782,18 +870,10 @@ func (s *Store) evictLocked(lines *strings.Builder) evictResult {
 		r.evicted = append(r.evicted, e.key)
 		r.reclaimed += e.size
 		r.count++
-		unmap, mapDeferred := s.doomMappingLocked(e.key)
-		if unmap != nil {
-			r.unmaps = append(r.unmaps, unmap)
-		}
-		pinDeferred := e.pins > 0
-		if pinDeferred {
-			e.doomed = true
+		if s.pins[e.key] > 0 {
+			s.doomed[e.key] = true
 		} else {
 			r.victims = append(r.victims, e.key)
-		}
-		if mapDeferred || pinDeferred {
-			s.stats.Mmap.UnmapDeferred++
 		}
 		if lines != nil {
 			fmt.Fprintf(lines, "del %x\n", e.key[:])
@@ -864,7 +944,7 @@ func (s *Store) Reverify() (restored, deleted int) {
 		qpath := s.quarantinePath(k)
 		// Verify outside s.mu (file reads must not stall Gets); the entry
 		// table mutation below re-checks liveness under the lock.
-		size, verr := verifyEntryFile(qpath, k)
+		img, verr := readEntryFile(qpath, k)
 		if os.IsNotExist(verr) {
 			continue // raced with a concurrent restore/delete
 		}
@@ -897,10 +977,11 @@ func (s *Store) Reverify() (restored, deleted int) {
 			s.mu.Unlock()
 			continue
 		}
-		e := &entry{key: k, size: size, atime: s.stampLocked()}
+		delete(s.doomed, k) // the restored file owns the path now
+		e := &entry{key: k, size: int64(len(img)), atime: s.stampLocked()}
 		e.el = s.ll.PushFront(e)
 		s.entries[k] = e
-		s.bytes += size
+		s.bytes += e.size
 		s.stats.Restored++
 		restored++
 		s.emit(obs.EvStoreRestore, k, "")

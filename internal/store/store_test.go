@@ -22,7 +22,7 @@ func payloadFor(i int) []byte {
 	return []byte(fmt.Sprintf(`{"edges":[[0,%d,1]],"weight":%d}`, i, i))
 }
 
-func mustOpen(t *testing.T, dir string, maxBytes int64) *Store {
+func mustOpen(t testing.TB, dir string, maxBytes int64) *Store {
 	t.Helper()
 	s, err := Open(dir, maxBytes)
 	if err != nil {
