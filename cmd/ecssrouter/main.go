@@ -10,16 +10,20 @@
 // bytes for a key: one shard's kill -9 costs cache warmth, never
 // acknowledged results.
 //
-//	POST /v1/solve     routed, retried
-//	GET  /v1/jobs/{id} fanned out to eligible shards
-//	GET  /v1/jobs/{id}/stream  SSE job stream proxied from the owning shard
-//	GET  /v1/jobs/{id}/trace   per-job event trace fanned out to shards
-//	GET  /v1/jobs/{id}/profile engine round profile fanned out to shards
-//	GET  /v1/events    aggregated firehose: every shard's events, shard-tagged
-//	GET  /v1/stats     router + per-shard health, ejections, retries
-//	GET  /metrics      Prometheus text exposition (shard-tagged engine
-//	                   rounds and messages, routing SLO burn rates)
-//	GET  /healthz      200 while >=1 shard eligible; 503 otherwise/draining
+//	POST /v1/solve             routed, retried
+//	GET  /v1/jobs/{id}         fanned out to eligible shards; the owning
+//	                           shard's answer is streamed through
+//	GET  /v1/jobs/{id}/stream  per-job SSE, fanned out the same way
+//	GET  /v1/jobs/{id}/trace   per-job event trace, fanned out the same way
+//	GET  /v1/jobs/{id}/profile engine round profile, fanned out the same way
+//	GET  /v1/events            SSE of the router's own router.* events
+//	GET  /v1/stats             router + per-shard health, ejections, retries
+//	GET  /metrics              Prometheus text exposition (shard-tagged engine
+//	                           rounds and messages, routing SLO burn rates)
+//	GET  /healthz              200 while >=1 shard eligible; 503 otherwise/draining
+//
+// Each shard's own events stay on that shard's /v1/events; the router holds
+// no connection to a shard between requests and probes.
 //
 // SIGINT/SIGTERM marks the router draining (healthz 503), then gracefully
 // finishes in-flight forwards and exits 0. -faults (or ECSS_FAULTS) arms
@@ -28,9 +32,8 @@
 // Usage:
 //
 //	ecssrouter -addr :8080 -shards http://s1:8081,http://s2:8082,... \
-//	           [-replicas 2] [-vnodes 64] [-probe-interval 500ms]
-//	           [-probe-timeout 2s] [-eject-after 3] [-eject-backoff 500ms]
-//	           [-eject-backoff-max 15s] [-retry-jitter 25ms] [-slo-latency 2s]
+//	           [-probe-interval 500ms] [-probe-timeout 2s] [-eject-after 3]
+//	           [-eject-backoff 500ms] [-retry-jitter 25ms] [-slo-latency 2s]
 //	           [-drain-timeout 30s] [-debug-addr ADDR] [-faults SPEC]
 //
 // -debug-addr starts a second listener serving net/http/pprof away from the
@@ -65,13 +68,10 @@ func main() {
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard base URLs (required)")
-	replicas := flag.Int("replicas", 2, "replica-set size per key")
-	vnodes := flag.Int("vnodes", 64, "virtual ring points per shard")
 	probeInterval := flag.Duration("probe-interval", 500*time.Millisecond, "active health-check period")
 	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "health-check timeout")
 	ejectAfter := flag.Int("eject-after", 3, "consecutive failures before ejection")
-	ejectBackoff := flag.Duration("eject-backoff", 500*time.Millisecond, "first ejection backoff (doubles per re-ejection)")
-	ejectBackoffMax := flag.Duration("eject-backoff-max", 15*time.Second, "ejection backoff ceiling")
+	ejectBackoff := flag.Duration("eject-backoff", 500*time.Millisecond, "first ejection backoff (doubles per re-ejection, up to 15s)")
 	retryJitter := flag.Duration("retry-jitter", 25*time.Millisecond, "max random delay before each retry")
 	sloLatency := flag.Duration("slo-latency", 2*time.Second, "route-latency SLO threshold for burn-rate exposition")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
@@ -97,15 +97,12 @@ func run() error {
 		}
 	}
 	rt, err := router.New(router.Config{
-		Replicas:        *replicas,
-		VNodes:          *vnodes,
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		EjectAfter:      *ejectAfter,
-		EjectBackoff:    *ejectBackoff,
-		EjectBackoffMax: *ejectBackoffMax,
-		RetryJitter:     *retryJitter,
-		SLOLatency:      *sloLatency,
+		ProbeInterval: *probeInterval,
+		ProbeTimeout:  *probeTimeout,
+		EjectAfter:    *ejectAfter,
+		EjectBackoff:  *ejectBackoff,
+		RetryJitter:   *retryJitter,
+		SLOLatency:    *sloLatency,
 	}, addrs)
 	if err != nil {
 		return err
@@ -133,7 +130,7 @@ func run() error {
 	}()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Printf("ecssrouter: listening on %s, %d shards %v (replicas=%d)", *addr, len(addrs), addrs, *replicas)
+	log.Printf("ecssrouter: listening on %s, %d shards %v", *addr, len(addrs), addrs)
 
 	select {
 	case err := <-errCh:

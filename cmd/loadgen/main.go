@@ -28,8 +28,7 @@
 // comma-separated list of servers — ecssd shards directly, or one or more
 // ecssrouter fronts — and reports outcomes per target, so a shard loss in a
 // kill-one chaos run shows up as that target's counted connection errors
-// (and nothing else): never a silent failure. -min-acked-per-target gates
-// that every target actually acknowledged work.
+// (and nothing else): never a silent failure.
 //
 // Stream mode (-stream) submits with wait=false and consumes each job's
 // lifecycle over GET /v1/jobs/{id}/stream instead of polling: the SSE
@@ -63,7 +62,7 @@
 //	        [-min-engine-rounds -1]
 //	        [-stream] [-min-streamed -1]
 //	        [-chaos] [-acked-out FILE] [-verify-acked FILE]
-//	        [-min-acked -1] [-min-restored -1] [-min-acked-per-target -1]
+//	        [-min-acked -1] [-min-restored -1]
 package main
 
 import (
@@ -129,7 +128,6 @@ func run() error {
 	minAcked := flag.Int64("min-acked", -1, "chaos mode: fail unless at least this many results were acknowledged (<0: no check)")
 	minExpired := flag.Int64("min-expired", -1, "chaos mode: fail unless at least this many requests expired with an explicit deadline error (<0: no check)")
 	minRestored := flag.Int64("min-restored", -1, "fail unless the server stores report at least this many reverifier restores in total (<0: no check)")
-	minAckedPerTarget := flag.Int64("min-acked-per-target", -1, "chaos mode: fail unless every target acknowledged at least this many results (<0: no check)")
 	flag.Parse()
 
 	targets := []string{strings.TrimRight(*addr, "/")}
@@ -162,7 +160,7 @@ func run() error {
 		// (or deterministically re-produce) every acknowledged byte.
 		modeErr = runVerifyAcked(client, targets[0], items, *verifyAcked)
 	case *chaos:
-		modeErr = runChaos(client, targets, items, *duration, *concurrency, *ackedOut, *minAcked, *minExpired, *minRestored, *minAckedPerTarget)
+		modeErr = runChaos(client, targets, items, *duration, *concurrency, *ackedOut, *minAcked, *minExpired, *minRestored)
 	case *stream:
 		modeErr = runStream(client, targets, items, *duration, *concurrency, *minStreamed)
 	default:
@@ -669,7 +667,7 @@ type ackedRec struct {
 	sum  string // hex sha256 of the result bytes
 }
 
-func runChaos(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, ackedOut string, minAcked, minExpired, minRestored, minAckedPerTarget int64) error {
+func runChaos(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, ackedOut string, minAcked, minExpired, minRestored int64) error {
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -772,13 +770,6 @@ func runChaos(client *http.Client, targets []string, items []workItem, duration 
 	}
 	if minAcked >= 0 && tally.acked < minAcked {
 		return fmt.Errorf("only %d results acknowledged, need >= %d", tally.acked, minAcked)
-	}
-	if minAckedPerTarget >= 0 {
-		for i, tgt := range targets {
-			if perTgt[i].acked < minAckedPerTarget {
-				return fmt.Errorf("target %s acknowledged only %d results, need >= %d", tgt, perTgt[i].acked, minAckedPerTarget)
-			}
-		}
 	}
 	if minExpired >= 0 && tally.expired < minExpired {
 		return fmt.Errorf("only %d requests expired with a deadline error, need >= %d", tally.expired, minExpired)

@@ -31,8 +31,8 @@ type Table struct {
 	Rows      [][]string
 	Notes     []string
 	// Rounds and Messages accumulate the engine statistics of every
-	// network the experiment ran; cmd/bench -json records them as the
-	// benchmark trajectory.
+	// network the experiment ran; the repository benchmark (benchmark/)
+	// checks them against its recorded expectations.
 	Rounds, Messages int64
 }
 

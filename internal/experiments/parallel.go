@@ -22,7 +22,7 @@ var Workers = 0
 
 // newNetwork returns the network for one experiment cell. The engine
 // always runs sequentially inside the harness: cell-level parallelism is
-// the only parallelism here, so trajectory numbers are comparable across
+// the only parallelism here, so timings are comparable across
 // -workers settings and nested engine pools never oversubscribe the
 // machine. Engine parallelism is measured separately by the
 // internal/congest microbenchmarks. Workers == 1 also means these
@@ -48,8 +48,8 @@ func poolSize(cells int) int {
 }
 
 // cellOut is what one experiment cell contributes to its table: rows plus
-// the engine statistics of every network the cell ran (for the benchmark
-// trajectory recorded by cmd/bench -json).
+// the engine statistics of every network the cell ran (summed into
+// Table.Rounds and Table.Messages).
 type cellOut struct {
 	rows     [][]string
 	rounds   int64

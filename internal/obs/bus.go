@@ -34,8 +34,8 @@ type Bus struct {
 	start  int     // index of oldest retained event
 	count  int     // retained events
 	subs   map[*Sub]struct{}
-	traces map[string][]Event // trace key (shard|job) -> ordered events
-	order  []string           // FIFO of trace keys for eviction
+	traces map[string][]Event // job id -> ordered events
+	order  []string           // FIFO of job ids for eviction
 
 	published    uint64
 	dropped      uint64 // events lost to full subscriber buffers (summed)
@@ -65,19 +65,13 @@ func NewBus(retain int) *Bus {
 	}
 }
 
-func traceKey(shard, job string) string { return shard + "|" + job }
-
-// Publish stamps e with the next sequence number (and the current time,
-// unless the publisher already set one — republished shard events keep
-// their origin timestamp) and fans it out. It never blocks and returns the
-// stamped event.
+// Publish stamps e with the next sequence number and the current time and
+// fans it out. It never blocks and returns the stamped event.
 func (b *Bus) Publish(e Event) Event {
 	b.mu.Lock()
 	b.seq++
 	e.Seq = b.seq
-	if e.TS.IsZero() {
-		e.TS = time.Now()
-	}
+	e.TS = time.Now()
 	b.published++
 
 	// Replay ring.
@@ -93,8 +87,7 @@ func (b *Bus) Publish(e Event) Event {
 	// serving events for the same job (repeat cache hits) go to the
 	// firehose only, so a replayed trace is exactly one lifecycle.
 	if e.Job != "" {
-		k := traceKey(e.Shard, e.Job)
-		tr, ok := b.traces[k]
+		tr, ok := b.traces[e.Job]
 		switch {
 		case ok && len(tr) > 0 && tr[len(tr)-1].Terminal:
 			// sealed
@@ -106,9 +99,9 @@ func (b *Bus) Publish(e Event) Event {
 					delete(b.traces, b.order[0])
 					b.order = b.order[1:]
 				}
-				b.order = append(b.order, k)
+				b.order = append(b.order, e.Job)
 			}
-			b.traces[k] = append(tr, e)
+			b.traces[e.Job] = append(tr, e)
 		}
 	}
 
@@ -127,12 +120,11 @@ func (b *Bus) Publish(e Event) Event {
 	return e
 }
 
-// Trace returns a copy of the retained event trace of one job (events with
-// an empty Shard tag — the publishing process's own jobs).
+// Trace returns a copy of the retained event trace of one job.
 func (b *Bus) Trace(job string) []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	tr := b.traces[traceKey("", job)]
+	tr := b.traces[job]
 	out := make([]Event, len(tr))
 	copy(out, tr)
 	return out
@@ -159,9 +151,8 @@ type SubOptions struct {
 	Buffer int
 	// Types restricts delivery to the listed event types (empty: all).
 	Types []string
-	// Job restricts delivery to one job id (the publishing process's own
-	// jobs) and, with Replay, seeds the subscription with the job's
-	// retained trace.
+	// Job restricts delivery to one job id and, with Replay, seeds the
+	// subscription with the job's retained trace.
 	Job string
 	// Replay seeds the subscription with retained history before live
 	// events: the job's trace when Job is set, else the replay ring.
@@ -184,7 +175,7 @@ type Sub struct {
 // matches reports whether e passes the subscription's filters. Caller
 // holds bus.mu.
 func (s *Sub) matches(e Event) bool {
-	if s.job != "" && (e.Job != s.job || e.Shard != "") {
+	if s.job != "" && e.Job != s.job {
 		return false
 	}
 	return s.types == nil || s.types[e.Type]
@@ -221,7 +212,7 @@ func (b *Bus) Subscribe(o SubOptions) *Sub {
 			}
 		}
 		if o.Job != "" {
-			for _, e := range b.traces[traceKey("", o.Job)] {
+			for _, e := range b.traces[o.Job] {
 				replay(e)
 			}
 		} else {

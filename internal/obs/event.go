@@ -1,11 +1,13 @@
 // Package obs is the process-wide observability layer behind the serving
 // stack (DESIGN.md §11): a bounded fan-out event Bus carrying typed
 // lifecycle events with monotonic sequence numbers, per-job event traces,
-// SSE serving and parsing, a Prometheus-text metrics Registry, and
-// runtime-sourced gauges. The service, store, and router publish into one
-// Bus per process; cmd/ecssd and cmd/ecssrouter expose it at /v1/events
-// (firehose), /v1/jobs/{id}/stream (per-job SSE), /v1/jobs/{id}/trace
-// (ordered span timeline), and /metrics.
+// SSE serving and parsing, and a Prometheus-text metrics Registry. The
+// service, store, and router publish into one Bus per process, and a
+// process's bus carries only its own events: cmd/ecssd and cmd/ecssrouter
+// each expose theirs at /v1/events (firehose) and /metrics, and cmd/ecssd
+// serves its jobs at /v1/jobs/{id}/stream (per-job SSE) and
+// /v1/jobs/{id}/trace (ordered span timeline), which the router fans out
+// to its shards.
 package obs
 
 import (
@@ -60,10 +62,8 @@ const (
 	EvServiceDrain = "service.drain"
 )
 
-// Event is one observable occurrence. Seq is assigned by the publishing
-// Bus and is strictly monotonic per process; a router republishing a
-// shard's events re-stamps Seq on its own bus and preserves the original
-// in ShardSeq, tagged with Shard.
+// Event is one observable occurrence. Seq and TS are assigned by the
+// publishing Bus; Seq is strictly monotonic per process.
 type Event struct {
 	Seq  uint64    `json:"seq"`
 	TS   time.Time `json:"ts"`
@@ -75,10 +75,8 @@ type Event struct {
 	// router via the X-ECSS-Request-Id header: every event of one client
 	// request — including every retried attempt of a forward — shares it.
 	Req string `json:"req,omitempty"`
-	// Shard tags router-aggregated events with the origin shard's address;
-	// ShardSeq preserves the shard bus's own sequence number.
-	Shard    string `json:"shard,omitempty"`
-	ShardSeq uint64 `json:"shard_seq,omitempty"`
+	// Shard names the shard a router.* event is about.
+	Shard string `json:"shard,omitempty"`
 
 	// Stage is the pipeline stage for job.stage events.
 	Stage string `json:"stage,omitempty"`

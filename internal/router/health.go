@@ -142,7 +142,7 @@ func (sh *shard) reportSuccess(cfg Config, probe bool) (recovered bool) {
 // reportFailure counts a breaker-relevant failure (connect error or 5xx).
 // A half-open shard re-ejects on its first failure; a healthy one ejects
 // after cfg.EjectAfter consecutive failures. Each ejection doubles the
-// backoff up to cfg.EjectBackoffMax. Returns true when this call ejected.
+// backoff up to ejectBackoffMax. Returns true when this call ejected.
 func (sh *shard) reportFailure(cfg Config, cause error) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -157,7 +157,7 @@ func (sh *shard) reportFailure(cfg Config, cause error) bool {
 	if sh.state == StateHalfOpen || sh.consecFails >= cfg.EjectAfter {
 		sh.state = StateEjected
 		sh.until = time.Now().Add(sh.backoff)
-		sh.backoff = min(2*sh.backoff, cfg.EjectBackoffMax)
+		sh.backoff = min(2*sh.backoff, ejectBackoffMax)
 		sh.ejections++
 		sh.consecFails = 0
 		return true

@@ -1,16 +1,14 @@
 package router
 
-// This file is the router's observability wiring (DESIGN.md §11): router.*
-// events on the shared bus, the per-shard firehose aggregator that
-// republishes every shard's events tagged with the origin shard address,
-// the routing SLOs and the shard-tagged engine ledger on /metrics, and the
-// SSE proxy that follows a shard-local job stream through the router.
+// This file is the router's observability wiring (DESIGN.md §11): its own
+// router.* events on its bus, the routing SLOs, and the shard-tagged engine
+// ledger on /metrics. Shard events stay on the shards; a job's stream,
+// trace and profile are fanned out to them like any job lookup.
 
 import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -107,131 +105,4 @@ func (rt *Router) scrapeShardEngines() []shardEngineRow {
 		}
 	}
 	return out
-}
-
-// aggregateReconnect paces firehose reconnects to a shard that is down or
-// closed the stream.
-const aggregateReconnect = time.Second
-
-// aggregate follows one shard's /v1/events firehose for the router's
-// lifetime, republishing every event on the router bus tagged with the
-// origin shard address; the shard's own sequence number is preserved in
-// ShardSeq and the router bus re-stamps Seq. Reconnects resume from the
-// last republished ShardSeq (Last-Event-ID against the shard's replay
-// ring), so a short shard outage loses nothing still retained there.
-func (rt *Router) aggregate(sh *shard) {
-	defer rt.wg.Done()
-	var lastSeq uint64
-	for {
-		select {
-		case <-rt.stop:
-			return
-		default:
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			select {
-			case <-rt.stop:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
-		lastSeq = rt.followFirehose(ctx, sh, lastSeq)
-		cancel()
-		select {
-		case <-rt.stop:
-			return
-		case <-time.After(aggregateReconnect):
-		}
-	}
-}
-
-// followFirehose holds one SSE connection to sh's firehose, returning the
-// last shard sequence number relayed (for resume).
-func (rt *Router) followFirehose(ctx context.Context, sh *shard, fromSeq uint64) uint64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.addr+"/v1/events", nil)
-	if err != nil {
-		return fromSeq
-	}
-	if fromSeq > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(fromSeq, 10))
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return fromSeq
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fromSeq
-	}
-	last := fromSeq
-	_ = obs.ReadSSE(resp.Body, func(ev obs.SSEvent) error {
-		var e obs.Event
-		if err := json.Unmarshal(ev.Data, &e); err != nil {
-			return nil // tolerate foreign frames; the stream goes on
-		}
-		last = e.Seq
-		e.Shard, e.ShardSeq, e.Seq = sh.addr, e.Seq, 0
-		rt.o.Bus.Publish(e)
-		return nil
-	})
-	return last
-}
-
-// handleJobStream proxies a per-job SSE stream from the shard that knows
-// the job: job ids are shard-local, so the router locates the owner by
-// fanning out the stream request and pipes the first 200 through, flushing
-// per chunk so events arrive live. Last-Event-ID / ?from= pass through to
-// the shard untouched.
-func (rt *Router) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	now := time.Now()
-	for _, sh := range rt.shards {
-		if !sh.eligible(now) {
-			continue
-		}
-		url := sh.addr + "/v1/jobs/" + id + "/stream"
-		if r.URL.RawQuery != "" {
-			url += "?" + r.URL.RawQuery
-		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url, nil)
-		if err != nil {
-			continue
-		}
-		if v := r.Header.Get("Last-Event-ID"); v != "" {
-			req.Header.Set("Last-Event-ID", v)
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			continue
-		}
-		defer resp.Body.Close()
-		fl, _ := w.(http.Flusher)
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("X-Accel-Buffering", "no")
-		h.Set(obs.ShardHeader, sh.addr)
-		w.WriteHeader(http.StatusOK)
-		buf := make([]byte, 16<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return
-				}
-				if fl != nil {
-					fl.Flush()
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": "unknown job " + strconv.Quote(id) + " on any shard"})
 }

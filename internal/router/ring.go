@@ -11,8 +11,8 @@ import (
 // ring is a consistent-hash ring over shard indices. Each shard owns vnodes
 // points on the uint64 circle; a key routes to the shards met walking
 // clockwise from its hash point, deduplicated, which gives every key a
-// stable preference order over ALL shards: replicas first, then the natural
-// failover sequence when replicas are down. Store entry files are
+// stable preference order over ALL shards: its primary first, then the
+// order a forward retries in when the primary is down. Store entry files are
 // self-describing (DESIGN.md §8), so ownership moving between shards as the
 // set changes costs only cache warmth, never correctness.
 type ring struct {
@@ -27,10 +27,7 @@ type ringPoint struct {
 
 // newRing places vnodes virtual points per shard id. Ids must be distinct;
 // they seed the point hashes so the layout is stable across restarts.
-func newRing(ids []string, vnodes int) *ring {
-	if vnodes < 1 {
-		vnodes = 1
-	}
+func newRing(ids []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(ids)*vnodes), shards: len(ids)}
 	for i, id := range ids {
 		for v := 0; v < vnodes; v++ {
@@ -72,9 +69,8 @@ func keyPoint(ghash [32]byte) uint64 {
 	return binary.BigEndian.Uint64(ghash[:8])
 }
 
-// order returns every shard index in the key's clockwise preference order.
-// The first replicas entries are the key's replica set; the rest are the
-// failover tail.
+// order returns every shard index in the key's clockwise preference order:
+// the primary first, then the failover tail.
 func (r *ring) order(key uint64) []int {
 	out := make([]int, 0, r.shards)
 	if len(r.points) == 0 {

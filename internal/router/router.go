@@ -1,8 +1,8 @@
 // Package router is the fault-tolerant routing tier in front of N ecssd
 // shards (DESIGN.md §10). Solve requests are consistent-hashed on the
 // instance's content hash (graph.Hash prefix), so one graph always lands on
-// the same shard's warm cache; every key also has a stable replica/failover
-// order over the remaining shards. The router survives any
+// the same shard's warm cache; every key also has a stable failover order
+// over the remaining shards. The router survives any
 // single shard's failure or drain: active /healthz probes plus a passive
 // consecutive-failure circuit breaker (exponential backoff, half-open
 // trials) eject dead shards, and a forward tries the key's eligible shards
@@ -10,7 +10,10 @@
 // the next shard after a bounded jittered delay. Results are
 // content-addressed and the solver is deterministic, so any shard can
 // (re)produce byte-identical bytes for any key: failover needs no
-// replication protocol, only a warm or cold re-solve.
+// replication protocol, only a warm or cold re-solve. Job ids are
+// shard-local: every GET /v1/jobs/{id}... route fans out to the shards and
+// streams the one that knows the job. The router keeps no copy of its
+// shards' events.
 package router
 
 import (
@@ -34,22 +37,15 @@ import (
 
 // Config tunes the router. Zero values select the documented defaults.
 type Config struct {
-	// Replicas is the size of each key's replica set: how many shards are
-	// considered "home" for a key before failover spills onto the rest of
-	// the ring (default 2, clamped to the shard count).
-	Replicas int
-	// VNodes is the number of virtual ring points per shard (default 64).
-	VNodes int
 	// ProbeInterval is the active health-check period (default 500ms);
 	// ProbeTimeout bounds one probe (default 2s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// EjectAfter is the consecutive-failure threshold that trips the
-	// breaker (default 3). EjectBackoff is the first ejection's length,
-	// doubling per re-ejection up to EjectBackoffMax (defaults 500ms, 15s).
-	EjectAfter      int
-	EjectBackoff    time.Duration
-	EjectBackoffMax time.Duration
+	// breaker (default 3). EjectBackoff is the first ejection's length
+	// (default 500ms), doubling per re-ejection up to ejectBackoffMax.
+	EjectAfter   int
+	EjectBackoff time.Duration
 	// RetryJitter is the upper bound of the uniform random delay before
 	// each retry attempt, decorrelating retry storms (default 25ms).
 	RetryJitter time.Duration
@@ -58,19 +54,19 @@ type Config struct {
 	// (99% latency, 99.9% availability), exported as ecss_slo_* burn rates.
 	SLOLatency time.Duration
 	// Obs is the router's observability hub (nil: a private one is
-	// created). The router publishes router.* events on its bus, registers
-	// its metrics, and — via the shard firehose aggregator — republishes
-	// every shard's events tagged with the origin shard address.
+	// created). The router publishes its own router.* events on its bus
+	// and registers its metrics there; shard events stay on the shards.
 	Obs *obs.Obs
 }
 
+// vnodes is the number of virtual ring points per shard; ejectBackoffMax
+// caps the doubling ejection backoff.
+const (
+	vnodes          = 64
+	ejectBackoffMax = 15 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -82,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EjectBackoff <= 0 {
 		c.EjectBackoff = 500 * time.Millisecond
-	}
-	if c.EjectBackoffMax <= 0 {
-		c.EjectBackoffMax = 15 * time.Second
 	}
 	if c.RetryJitter < 0 {
 		c.RetryJitter = 0
@@ -120,7 +113,7 @@ type Router struct {
 	draining  atomic.Bool
 
 	stop chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the prober
 }
 
 // New builds a router over shardAddrs (base URLs) and starts its active
@@ -159,14 +152,10 @@ func New(cfg Config, shardAddrs []string) (*Router, error) {
 			backoff: cfg.EjectBackoff,
 		})
 	}
-	rt.ring = newRing(ids, cfg.VNodes)
+	rt.ring = newRing(ids)
 	rt.registerMetrics()
 	rt.wg.Add(1)
 	go rt.prober()
-	for _, sh := range rt.shards {
-		rt.wg.Add(1)
-		go rt.aggregate(sh)
-	}
 	return rt, nil
 }
 
@@ -193,7 +182,7 @@ func (rt *Router) noteEjection(sh *shard, cause error) {
 }
 
 // candidates returns the key's eligible shards in ring preference order:
-// the replica set first, then the failover tail. Draining and ejected
+// the primary first, then the failover tail. Draining and ejected
 // shards are skipped; an ejected shard past its backoff re-enters here as
 // half-open.
 func (rt *Router) candidates(key uint64) []*shard {
@@ -345,23 +334,21 @@ func failureCause(res *attemptResult) error {
 
 // Handler returns the router's HTTP API, a drop-in superset of one shard's:
 //
-//	POST /v1/solve            routed by content hash, retried across shards
-//	GET  /v1/jobs/{id}        fanned out to eligible shards, first hit wins
-//	GET  /v1/jobs/{id}/stream per-job SSE, proxied from the owning shard
-//	GET  /v1/jobs/{id}/trace  job event timeline, fanned out like job lookups
-//	GET  /v1/jobs/{id}/profile engine round profile, fanned out like job lookups
-//	GET  /v1/events           aggregated firehose: router events + every
-//	                          shard's events tagged with the origin shard
-//	GET  /v1/stats            router + per-shard health and counters
-//	GET  /metrics             Prometheus text exposition
-//	GET  /healthz             200 while >=1 shard is eligible, else (or draining) 503
+//	POST /v1/solve             routed by content hash, retried across shards
+//	GET  /v1/jobs/{id}         fanned out to eligible shards, first 200 streamed
+//	GET  /v1/jobs/{id}/stream  per-job SSE, fanned out the same way
+//	GET  /v1/jobs/{id}/trace   job event timeline, fanned out the same way
+//	GET  /v1/jobs/{id}/profile engine round profile, fanned out the same way
+//	GET  /v1/events            the router's own router.* events
+//	GET  /v1/stats             router + per-shard health and counters
+//	GET  /metrics              Prometheus text exposition
+//	GET  /healthz              200 while >=1 shard is eligible, else (or draining) 503
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", rt.handleSolve)
-	mux.HandleFunc("GET /v1/jobs/{id}", rt.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", rt.handleJobStream)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", rt.handleJobTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", rt.handleJobProfile)
+	for _, p := range []string{"", "/stream", "/trace", "/profile"} {
+		mux.HandleFunc("GET /v1/jobs/{id}"+p, rt.fanoutGet)
+	}
 	mux.HandleFunc("GET /v1/events", rt.o.Bus.ServeFirehose)
 	mux.HandleFunc("GET /v1/stats", rt.handleStats)
 	mux.Handle("GET /metrics", rt.o.Metrics.Handler())
@@ -443,26 +430,16 @@ func relay(w http.ResponseWriter, res *attemptResult) {
 	_, _ = w.Write(res.body)
 }
 
-// handleJob resolves a job id by asking each eligible shard in turn: job
-// ids are shard-local, so the router fans out and relays the first hit.
-func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
-	rt.fanoutGet(w, r, "/v1/jobs/"+r.PathValue("id"))
-}
-
-// handleJobTrace fans a trace lookup out exactly like a job lookup.
-func (rt *Router) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	rt.fanoutGet(w, r, "/v1/jobs/"+r.PathValue("id")+"/trace")
-}
-
-// handleJobProfile fans an engine-profile lookup out like a job lookup: the
-// owning shard retains the round timeline, the router only locates it.
-func (rt *Router) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	rt.fanoutGet(w, r, "/v1/jobs/"+r.PathValue("id")+"/profile")
-}
-
-// fanoutGet relays the first shard 200 for path, trying eligible shards in
-// id order (job ids are shard-local; at most one shard knows any given id).
-func (rt *Router) fanoutGet(w http.ResponseWriter, r *http.Request, path string) {
+// fanoutGet serves every GET /v1/jobs/{id}... route. Job ids are
+// shard-local, so it asks the eligible shards in id order for the same path,
+// query and Last-Event-ID, and streams the first 200 through, flushing
+// after each read so a job's SSE events arrive live. No other shard could
+// answer 200 for that id, so committing to the first one loses nothing.
+func (rt *Router) fanoutGet(w http.ResponseWriter, r *http.Request) {
+	path := r.URL.EscapedPath()
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
+	}
 	now := time.Now()
 	for _, sh := range rt.shards {
 		if !sh.eligible(now) {
@@ -472,19 +449,45 @@ func (rt *Router) fanoutGet(w http.ResponseWriter, r *http.Request, path string)
 		if err != nil {
 			continue
 		}
+		if v := r.Header.Get("Last-Event-ID"); v != "" {
+			req.Header.Set("Last-Event-ID", v)
+		}
 		resp, err := rt.client.Do(req)
 		if err != nil {
 			continue
 		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
+		if resp.StatusCode != http.StatusOK {
+			// Read to the end so the connection goes back to the pool.
+			io.Copy(io.Discard, io.LimitReader(resp.Body, maxRelayBytes))
+			resp.Body.Close()
 			continue
 		}
-		relay(w, &attemptResult{shard: sh, status: resp.StatusCode, header: resp.Header, body: body})
-		return
+		defer resp.Body.Close()
+		for _, h := range []string{"Content-Type", "Cache-Control", "X-Accel-Buffering"} {
+			if v := resp.Header.Get(h); v != "" {
+				w.Header().Set(h, v)
+			}
+		}
+		w.Header().Set(obs.ShardHeader, sh.addr)
+		w.WriteHeader(http.StatusOK)
+		fl, _ := w.(http.Flusher)
+		buf := make([]byte, 16<<10)
+		for {
+			n, err := resp.Body.Read(buf)
+			if n > 0 {
+				if _, werr := w.Write(buf[:n]); werr != nil {
+					return
+				}
+				if fl != nil {
+					fl.Flush()
+				}
+			}
+			if err != nil {
+				return
+			}
+		}
 	}
-	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("%q not found on any shard", path)})
+	writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("%q not found on any shard", r.URL.Path)})
 }
 
 // Stats is the router's /v1/stats document: its own routing counters plus

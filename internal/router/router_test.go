@@ -91,7 +91,7 @@ func postVia(t *testing.T, rt *Router, body []byte) (int, map[string]string, htt
 
 func TestRingStableAndComplete(t *testing.T) {
 	ids := []string{"a", "b", "c", "d", "e"}
-	r := newRing(ids, 64)
+	r := newRing(ids)
 	counts := make([]int, len(ids))
 	for k := 0; k < 2000; k++ {
 		key := uint64(k) * 0x9e3779b97f4a7c15
@@ -209,8 +209,7 @@ func TestRetryFailsOverTo5xxFreeReplica(t *testing.T) {
 func TestCircuitBreakerEjectsThenRecovers(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
-	// hits counts routed solves only: the router's event aggregator also
-	// dials every shard (GET /v1/events), whatever its breaker state.
+	// hits counts routed solves only, not health probes.
 	var hits atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/solve" {
@@ -332,7 +331,7 @@ func TestClientCancelAbortsAttemptWithoutVerdict(t *testing.T) {
 	canceled := make(chan struct{}, 1)
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/solve" {
-			// The router's event aggregator dials every shard too.
+			// Only a solve is held; a health probe is not one.
 			http.NotFound(w, r)
 			return
 		}

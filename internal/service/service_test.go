@@ -214,11 +214,31 @@ func TestFailedJobReported(t *testing.T) {
 
 func TestProgressPhasesObserved(t *testing.T) {
 	s := New(Config{Workers: 1})
+	entered := make(chan string, 2)
 	gate := make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
-	s.testJobStart = func(*Job) { <-gate }
+	s.testJobStart = func(j *Job) {
+		entered <- j.ID()
+		<-gate
+	}
 	defer drain(t, s)
+	defer release() // runs before drain, so a failure cannot stall it
 
+	// The worker marks a job running before the hook blocks, so the job
+	// observed as queued must be one the worker cannot pop yet: occupy the
+	// only worker with a blocker first.
+	blocker, _, err := s.Submit(testGraph(t, 8), ecss.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-entered:
+		if id != blocker.ID() {
+			t.Fatalf("worker started %s, want the blocker %s", id, blocker.ID())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("blocker never reached the worker")
+	}
 	j, _, err := s.Submit(testGraph(t, 7), ecss.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
