@@ -1,11 +1,16 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // FuzzGraphHashCanonical asserts the content digest's canonicalization
 // invariant under fuzzed instances: permuting the edge insertion order and
 // swapping edge endpoint orientation never changes Hash, while changing the
-// vertex count always does. The service layer's disk store and result cache
+// vertex count always does. HashEdges, the digest of wire triples without
+// a graph, must give FromEdges(...).Hash() and refuse exactly what
+// FromEdges refuses, with the same error. The service layer's disk store and result cache
 // are keyed on this digest (DESIGN.md §7.1, §8), so a canonicalization gap
 // would silently split or alias cache entries.
 func FuzzGraphHashCanonical(f *testing.F) {
@@ -63,6 +68,32 @@ func FuzzGraphHashCanonical(f *testing.F) {
 		}
 		if a.Hash() == c.Hash() {
 			t.Fatalf("hash ignores vertex count (n=%d)", n)
+		}
+
+		wire := make([][3]int64, len(edges))
+		for i, e := range edges {
+			wire[i] = [3]int64{int64(e.u), int64(e.v), e.w}
+		}
+		if h, err := HashEdges(n, wire); err != nil || h != a.Hash() {
+			t.Fatalf("HashEdges = %x, %v; want Hash %x", h, err, a.Hash())
+		}
+
+		// The same bytes as raw triples, endpoints in [-1, n], so some
+		// are self-loops or out of range, and weights signed.
+		var triples [][3]int64
+		var raw []Edge
+		for i := 0; i+3 <= len(data) && len(triples) < 512; i += 3 {
+			u, v, w := int(data[i])%(n+2)-1, int(data[i+1])%(n+2)-1, Weight(int8(data[i+2]))
+			triples = append(triples, [3]int64{int64(u), int64(v), w})
+			raw = append(raw, Edge{U: u, V: v, W: w})
+		}
+		h, herr := HashEdges(n, triples)
+		g, gerr := FromEdges(n, raw)
+		if fmt.Sprint(herr) != fmt.Sprint(gerr) {
+			t.Fatalf("HashEdges error %v, FromEdges error %v", herr, gerr)
+		}
+		if gerr == nil && h != g.Hash() {
+			t.Fatalf("HashEdges differs from FromEdges(...).Hash() (n=%d, %d edges)", n, len(raw))
 		}
 	})
 }

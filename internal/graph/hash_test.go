@@ -127,3 +127,44 @@ func TestHashGoldenSignedParallel(t *testing.T) {
 		t.Fatalf("Hash = %s, want %s", got, want)
 	}
 }
+
+// TestHashEdgesGolden pins HashEdges, the digest the service and router
+// compute from a request's wire edges, to the digests Hash gives: the
+// families' and the signed, parallel instance's. A store written through
+// either path is keyed by the same bytes.
+func TestHashEdgesGolden(t *testing.T) {
+	triples := func(g *Graph) [][3]int64 {
+		out := make([][3]int64, len(g.Edges))
+		for i, e := range g.Edges {
+			out[i] = [3]int64{int64(e.U), int64(e.V), e.W}
+		}
+		return out
+	}
+	for _, f := range []string{"er", "grid", "ring", "random", "ba"} {
+		g, err := ByFamily(f, 256, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := HashEdges(g.N, triples(g))
+		if got := hex.EncodeToString(h[:]); err != nil || got != hashGolden[f] {
+			t.Errorf("%s: HashEdges = %s, %v; want %s", f, got, err, hashGolden[f])
+		}
+	}
+	h, err := HashEdges(5, [][3]int64{{3, 1, -4}, {1, 3, 9}, {1, 3, -4}, {0, 4, 1 << 40}, {4, 2, 0}, {2, 0, -1 << 50}})
+	const want = "50adeb5b48e9e80945185ebd0e70270f3f5504a1ed52a19d0737898264033851"
+	if got := hex.EncodeToString(h[:]); err != nil || got != want {
+		t.Fatalf("HashEdges = %s, %v; want %s", got, err, want)
+	}
+	for _, tc := range []struct {
+		edges [][3]int64
+		want  string
+	}{
+		{[][3]int64{{0, 1, 1}, {2, 2, 1}}, "edge 1: graph: self-loop at vertex 2"},
+		{[][3]int64{{0, 5, 1}}, "edge 0: graph: edge {0,5} out of range [0,5)"},
+		{[][3]int64{{-1, 0, 1}}, "edge 0: graph: edge {-1,0} out of range [0,5)"},
+	} {
+		if _, err := HashEdges(5, tc.edges); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: error %v, want %q", tc.edges, err, tc.want)
+		}
+	}
+}

@@ -376,17 +376,20 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
 		return
 	}
+	// The shard's own decoder and digest: the router refuses exactly the
+	// bodies a shard would, with the same text, and routes on the cache
+	// key without building the graph.
 	var req service.SolveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalJSON(body); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad request body: " + err.Error()})
 		return
 	}
-	g, err := req.Graph.Graph()
+	ghash, err := req.Graph.Hash()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad graph: " + err.Error()})
 		return
 	}
-	res, err := rt.forward(r.Context(), reqID, body, rt.candidates(keyPoint(g.Hash())))
+	res, err := rt.forward(r.Context(), reqID, body, rt.candidates(keyPoint(ghash)))
 	// SLO classification: the routing tier is available when it relayed a
 	// deliverable non-5xx answer; 2xx relays additionally count against the
 	// route-latency objective, timed from receipt so failed attempts and

@@ -726,3 +726,54 @@ func TestProfileFanoutAndShardEngineMetrics(t *testing.T) {
 		t.Fatalf("fleet messages sum %.0f (ok=%v), want 5000", sum, ok)
 	}
 }
+
+// TestRouterRefusesWhatAShardRefuses sends bodies a shard refuses both to
+// a shard and through the router: the router decodes through the shard's
+// own decoder, so it answers the same 400 with the same text and forwards
+// nothing. A valid request followed by more data is among them.
+func TestRouterRefusesWhatAShardRefuses(t *testing.T) {
+	svc := service.New(service.Config{Workers: 1})
+	defer svc.Drain(context.Background())
+	shard := httptest.NewServer(svc.Handler())
+	defer shard.Close()
+	rt, err := New(quietConfig(), []string{shard.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	valid := string(testBody(t, 1))
+	for _, body := range []string{
+		valid + ` garbage`,
+		valid + `{"x":1}`,
+		valid + `]`,
+		valid[:len(valid)/2],
+		``,
+		`{"graph":{"n":8,"edges":[[0,1,1.5]]}}`,
+		`{"graph":{"n":8,"edges":[[0,01,1]]}}`,
+		`{"graph":{"n":"8"}}`,
+		`{"graph":{"n":8,"edges":[[0,0,1]]}}`,
+		`{"graph":{"n":-1}}`,
+	} {
+		direct, err := http.Post(shard.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want map[string]string
+		err = json.NewDecoder(direct.Body).Decode(&want)
+		direct.Body.Close()
+		if err != nil || direct.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: shard answered %d (%v), want 400", body, direct.StatusCode, err)
+		}
+		code, got, _ := postVia(t, rt, []byte(body))
+		if code != http.StatusBadRequest || got["error"] != want["error"] {
+			t.Errorf("%q: router answered %d %q, want the shard's 400 %q", body, code, got["error"], want["error"])
+		}
+	}
+	if n := svc.Stats().Submitted; n != 0 {
+		t.Fatalf("the shard admitted %d submissions, want none", n)
+	}
+	if f := rt.shards[0].stats().Forwards; f != 0 {
+		t.Fatalf("the router forwarded %d bodies, want none", f)
+	}
+}

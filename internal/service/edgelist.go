@@ -22,45 +22,52 @@ type EdgeList [][3]int64
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
-	i := skipSpace(data, 0)
-	if rest := data[i:]; bytes.HasPrefix(rest, []byte("null")) && skipSpace(rest, 4) == len(rest) {
-		*l = nil
-		return nil
-	}
-	if i == len(data) || data[i] != '[' {
-		return errors.New("edges: want an array of [u, v, w] integer triples")
-	}
-	// Every triple closes with one ']' and the list with one more, so the
-	// count sizes the list exactly for any input that decodes. The edge
-	// limit bounds what a list of empty arrays can reserve up front.
-	out := make(EdgeList, 0, min(max(bytes.Count(data, []byte("]"))-1, 0), maxWireEdges))
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == ']' {
-		i++
-	} else {
-		for {
-			t, j, ok := parseTriple(data, i)
-			if !ok {
-				return fmt.Errorf("edges[%d]: want [u, v, w] integer triple", len(out))
-			}
-			out = append(out, t)
-			i = skipSpace(data, j)
-			if i < len(data) && data[i] == ',' {
-				i = skipSpace(data, i+1)
-				continue
-			}
-			if i < len(data) && data[i] == ']' {
-				i++
-				break
-			}
-			return fmt.Errorf("edges: want ',' or ']' after edges[%d]", len(out)-1)
-		}
+	out, i, err := parseEdgeList(data, skipSpace(data, 0))
+	if err != nil {
+		return err
 	}
 	if skipSpace(data, i) != len(data) {
 		return errors.New("edges: unexpected data after the list")
 	}
 	*l = out
 	return nil
+}
+
+// parseEdgeList parses the edge list or null at data[i:] and returns it
+// with the index just past it. SolveRequest's decoder calls it in place,
+// on the list inside the request body.
+func parseEdgeList(data []byte, i int) (EdgeList, int, error) {
+	if bytes.HasPrefix(data[i:], []byte("null")) {
+		return nil, i + 4, nil
+	}
+	if i == len(data) || data[i] != '[' {
+		return nil, i, errors.New("edges: want an array of [u, v, w] integer triples")
+	}
+	// Every triple closes with one ']' and the list with one more, so the
+	// count sizes the list exactly for any list that decodes and ends the
+	// data, and within the few ']' of what follows it otherwise. The edge
+	// limit bounds what a list of empty arrays can reserve up front.
+	out := make(EdgeList, 0, min(max(bytes.Count(data[i:], []byte("]"))-1, 0), maxWireEdges))
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == ']' {
+		return out, i + 1, nil
+	}
+	for {
+		t, j, ok := parseTriple(data, i)
+		if !ok {
+			return nil, i, fmt.Errorf("edges[%d]: want [u, v, w] integer triple", len(out))
+		}
+		out = append(out, t)
+		i = skipSpace(data, j)
+		if i < len(data) && data[i] == ',' {
+			i = skipSpace(data, i+1)
+			continue
+		}
+		if i < len(data) && data[i] == ']' {
+			return out, i + 1, nil
+		}
+		return nil, i, fmt.Errorf("edges: want ',' or ']' after edges[%d]", len(out)-1)
+	}
 }
 
 // parseTriple parses "[a, b, c]" at data[i:] and returns the triple and
@@ -97,21 +104,22 @@ func parseInt(data []byte, i int) (int64, int, bool) {
 	if i >= len(data) || data[i] < '0' || data[i] > '9' {
 		return 0, i, false
 	}
+	if data[i] == '0' {
+		return 0, i + 1, true
+	}
+	// Nineteen digits never overflow a uint64, and twenty without a
+	// leading zero are beyond int64 either way.
+	start := i
+	var u uint64
+	for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
+		u = u*10 + uint64(data[i]-'0')
+	}
 	limit := uint64(1<<63 - 1)
 	if neg {
 		limit++
 	}
-	var u uint64
-	if data[i] == '0' {
-		i++
-	} else {
-		for ; i < len(data) && data[i] >= '0' && data[i] <= '9'; i++ {
-			d := uint64(data[i] - '0')
-			if u > (limit-d)/10 {
-				return 0, i, false
-			}
-			u = u*10 + d
-		}
+	if i-start > 19 || u > limit {
+		return 0, i, false
 	}
 	if neg {
 		return -int64(u), i, true

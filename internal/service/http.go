@@ -45,16 +45,31 @@ const (
 	maxBodyBytes    = 1 << 28
 )
 
-// Graph materializes the wire form, enforcing the request-size guards.
-// The router uses it to compute the content hash a request routes on.
-func (w GraphWire) Graph() (*graph.Graph, error) { return w.toGraph() }
+// Hash returns the content digest of the graph Graph would build, with
+// the same guards and the same error for an instance Graph refuses, but
+// without building it: graph.HashEdges over the wire edges. The service
+// keys its cache on it, and the router routes on it.
+func (w GraphWire) Hash() ([32]byte, error) {
+	if err := w.checkSize(); err != nil {
+		return [32]byte{}, err
+	}
+	return graph.HashEdges(w.N, w.Edges)
+}
 
-func (w GraphWire) toGraph() (*graph.Graph, error) {
+func (w GraphWire) checkSize() error {
 	if w.N < 0 || w.N > maxWireVertices {
-		return nil, fmt.Errorf("n %d out of range [0,%d]", w.N, maxWireVertices)
+		return fmt.Errorf("n %d out of range [0,%d]", w.N, maxWireVertices)
 	}
 	if len(w.Edges) > maxWireEdges {
-		return nil, fmt.Errorf("%d edges exceed limit %d", len(w.Edges), maxWireEdges)
+		return fmt.Errorf("%d edges exceed limit %d", len(w.Edges), maxWireEdges)
+	}
+	return nil
+}
+
+// Graph materializes the wire form, enforcing the request-size guards.
+func (w GraphWire) Graph() (*graph.Graph, error) {
+	if err := w.checkSize(); err != nil {
+		return nil, err
 	}
 	edges := make([]graph.Edge, len(w.Edges))
 	for i, e := range w.Edges {
@@ -173,7 +188,9 @@ func wireResult(g *graph.Graph, res *ecss.Result) ResultWire {
 }
 
 // JobResponse is the JSON view of a job returned by POST /v1/solve and
-// GET /v1/jobs/{id}.
+// GET /v1/jobs/{id}. The handlers write it with appendJobResponse, by
+// hand, so a new field goes there too (TestAppendJobResponse fails until
+// it does).
 type JobResponse struct {
 	JobID  string `json:"job_id"`
 	Status Status `json:"status"`
@@ -266,13 +283,17 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	var req SolveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	g, err := req.Graph.toGraph()
+	var req SolveRequest
+	if err := req.UnmarshalJSON(body); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	ghash, err := req.Graph.Hash()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad graph: %w", err))
 		return
@@ -299,7 +320,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if ctxDL, ok := r.Context().Deadline(); ok && (adm.Deadline.IsZero() || ctxDL.Before(adm.Deadline)) {
 		adm.Deadline = ctxDL
 	}
-	job, hit, err := s.SubmitWith(g, opt, adm)
+	job, hit, err := s.submit(req.Graph.N, ghash, req.Graph.Graph, opt, adm)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Load shedding, not a client error: tell the client when a retry
@@ -337,7 +358,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if resp.Status == StatusDone || resp.Status == StatusFailed {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, resp)
+	writeJob(w, code, resp)
 }
 
 func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -347,7 +368,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJob(w, http.StatusOK, resp)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -206,6 +206,14 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"trailing comma", wrap(`[[0,1,1],]`), "invalid character"},
 		{"null element", wrap(`[[0,1,null]]`), "edges[0]"},
 		{"eps above one", `{"graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]},"options":{"eps":1.5},"wait":true}`, "eps 1.5 out of (0,1)"},
+		{"wait not a bool", `{"graph":{"n":4,"edges":[[0,1,1]]},"wait":"yes"}`, "json: cannot unmarshal string into Go struct field SolveRequest.wait of type bool"},
+		{"n not a number", `{"graph":{"n":"4","edges":[[0,1,1]]}}`, "Go struct field GraphWire.graph.n of type int"},
+		{"empty", ``, "bad request body: EOF"},
+		// A valid request followed by more data is refused whole; the
+		// shard used to answer the first value and ignore the rest.
+		{"trailing garbage", wrap(`[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]`) + ` garbage`, "invalid character 'g' after top-level value"},
+		{"trailing object", wrap(`[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]`) + `{"x":1}`, "invalid character '{' after top-level value"},
+		{"trailing bracket", wrap(`[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]`) + `]`, "invalid character ']' after top-level value"},
 	} {
 		resp, err := srv.Client().Post(srv.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
 		if err != nil {

@@ -356,21 +356,33 @@ func (s *Service) Submit(g *graph.Graph, opt ecss.Options) (*Job, bool, error) {
 // past fails fast with ErrDeadlineExceeded (unless the result is on hand:
 // cache and coalescing hits serve instantly and ignore the deadline).
 func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job, bool, error) {
+	var n int
+	var ghash [32]byte
+	if g != nil {
+		n, ghash = g.N, g.Hash()
+	}
+	return s.submit(n, ghash, func() (*graph.Graph, error) { return g, nil }, opt, adm)
+}
+
+// submit is SubmitWith for an instance known by its vertex count n and
+// content digest ghash (graph.Hash) before its graph exists: build runs
+// only when neither the memory cache, an in-flight job nor the store holds
+// the result, so a hit builds no graph.
+func (s *Service) submit(n int, ghash [32]byte, build func() (*graph.Graph, error), opt ecss.Options, adm Admit) (*Job, bool, error) {
 	if !(opt.Eps > 0 && opt.Eps < 1) {
 		return nil, false, fmt.Errorf("service: eps %g out of (0,1)", opt.Eps)
 	}
-	if g == nil || g.N < 3 {
+	if n < 3 {
 		return nil, false, errors.New("service: need a graph with at least 3 vertices")
 	}
-	if opt.Root < 0 || opt.Root >= g.N {
-		return nil, false, fmt.Errorf("service: root %d out of range [0,%d)", opt.Root, g.N)
+	if opt.Root < 0 || opt.Root >= n {
+		return nil, false, fmt.Errorf("service: root %d out of range [0,%d)", opt.Root, n)
 	}
 	if adm.Priority < 0 || adm.Priority >= numPriorities {
 		return nil, false, fmt.Errorf("service: priority %d out of range", adm.Priority)
 	}
 	opt.Workers = s.cfg.NetWorkers
 	opt.Progress = nil
-	ghash := g.Hash()
 	key := keyFor(ghash, opt)
 
 	s.mu.Lock()
@@ -384,25 +396,35 @@ func (s *Service) SubmitWith(g *graph.Graph, opt ecss.Options, adm Admit) (*Job,
 	if j := s.hitLocked(key, adm); j != nil {
 		return j, true, nil
 	}
+	// The store read touches disk and the build walks every edge; release
+	// the admission mutex around them so concurrent Submits, Stats, and
+	// progress callbacks are never serialized behind either, then re-run
+	// the admission checks — the world may have moved meanwhile.
+	s.mu.Unlock()
+	var raw []byte
+	var found bool
 	if s.store != nil {
-		// The store lookup touches disk; release the admission mutex
-		// around it so concurrent Submits, Stats, and progress callbacks
-		// are never serialized behind a file read, then re-run the
-		// admission checks — the world may have moved meanwhile.
-		s.mu.Unlock()
-		raw, found := s.store.Get([32]byte(key))
-		s.mu.Lock()
-		if s.draining {
-			s.stats.RejectedDraining++
-			return nil, false, ErrDraining
-		}
-		if j := s.hitLocked(key, adm); j != nil {
-			return j, true, nil
-		}
-		if found {
-			s.stats.StoreHits++
-			return s.adoptStoredLocked(key, ghash, raw, adm.RequestID), true, nil
-		}
+		raw, found = s.store.Get([32]byte(key))
+	}
+	var g *graph.Graph
+	var err error
+	if !found {
+		g, err = build()
+	}
+	s.mu.Lock()
+	if s.draining {
+		s.stats.RejectedDraining++
+		return nil, false, ErrDraining
+	}
+	if j := s.hitLocked(key, adm); j != nil {
+		return j, true, nil
+	}
+	if found {
+		s.stats.StoreHits++
+		return s.adoptStoredLocked(key, ghash, raw, adm.RequestID), true, nil
+	}
+	if err != nil {
+		return nil, false, err
 	}
 	now := time.Now()
 	if !adm.Deadline.IsZero() && !now.Before(adm.Deadline) {

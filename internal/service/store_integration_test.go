@@ -75,6 +75,42 @@ func TestRestartServesFromStoreEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStoreFromGraphPathServesWirePath fills a store through SubmitWith,
+// which keys on Graph.Hash, and serves it after a restart through the
+// HTTP handler, which keys on the wire edges: every instance must be a
+// store hit with the same bytes and no solve. A store written before the
+// handler hashed wire edges was keyed by Graph.Hash, whose digests
+// TestHashGolden and TestHashEdgesGolden pin for both paths.
+func TestStoreFromGraphPathServesWirePath(t *testing.T) {
+	dir := t.TempDir()
+	const instances = 4
+	s1 := New(Config{Workers: 2, Store: openStore(t, dir, 0)})
+	first := make(map[int][]byte)
+	for seed := 1; seed <= instances; seed++ {
+		j, _, err := s1.Submit(testGraph(t, int64(seed)), ecss.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		first[seed] = s1.snapshot(j).Result
+	}
+	drain(t, s1)
+
+	s2 := New(Config{Workers: 2, Store: openStore(t, dir, 0)})
+	defer drain(t, s2)
+	srv := httptest.NewServer(s2.Handler())
+	defer srv.Close()
+	for seed := 1; seed <= instances; seed++ {
+		code, resp := postSolve(t, srv, SolveRequest{Graph: WireGraph(testGraph(t, int64(seed))), Wait: true})
+		if code != http.StatusOK || !resp.Cached || !bytes.Equal(resp.Result, first[seed]) {
+			t.Fatalf("seed %d: code=%d cached=%v, same bytes %v", seed, code, resp.Cached, bytes.Equal(resp.Result, first[seed]))
+		}
+	}
+	if st := s2.Stats(); st.Solves != 0 || st.StoreHits != instances {
+		t.Fatalf("stats %+v, want %d store hits and no solve", st, instances)
+	}
+}
+
 // TestRestartAdoptsOnDemand: a service restarted on a warm store starts
 // with nothing in memory — no cached entry, no job record, no job.cached
 // event — and adopts a stored result only when a request asks for it. The
