@@ -745,10 +745,10 @@ func E12(trials int, n int, seed int64) (*Table, error) {
 		if err != nil {
 			return c, err
 		}
-		s := map[int]bool{}
+		var s []int
 		for _, id := range rt.NonTreeEdgeIDs() {
 			if rng.Intn(2) == 0 {
-				s[id] = true
+				s = append(s, id)
 			}
 		}
 		det, err := tl.CoveredDetection(s, rng)
@@ -761,7 +761,7 @@ func E12(trials int, n int, seed int64) (*Table, error) {
 				continue
 			}
 			want := false
-			for id := range s {
+			for _, id := range s {
 				e := g.Edges[id]
 				if rt.Covers(e.U, e.V, cv) {
 					want = true

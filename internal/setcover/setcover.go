@@ -320,11 +320,6 @@ func (s *Solver) billGoodness() error {
 // billCoverage refreshes the marked set via the Lemma 5.4 detector (one
 // DescendantsSum over the shortcut hierarchy).
 func (s *Solver) billCoverage(marked []bool, rng *rand.Rand) error {
-	set := map[int]bool{}
-	for j, id := range s.nonTree {
-		_ = j
-		set[id] = true
-	}
-	_, err := s.Tools.CoveredDetection(set, rng)
+	_, err := s.Tools.CoveredDetection(s.nonTree, rng)
 	return err
 }

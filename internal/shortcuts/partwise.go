@@ -2,33 +2,49 @@ package shortcuts
 
 import (
 	"fmt"
+	"slices"
 
 	"twoecss/internal/congest"
 	"twoecss/internal/graph"
 )
 
-// role is one (part, vertex) participation in the part-wise aggregation:
-// the per-part BFS-tree position of a vertex (members aggregate, steiner
-// relays forward).
-type role struct {
-	part       int32
-	parentEdge int32 // -1 at the leader
-	children   int32
-}
-
 // AggPlan is the reusable execution plan of PartwiseAggregate for one
 // (graph, partition, shortcut) triple: the per-part BFS trees flattened to
-// role tables, plus all run-state scratch. Building the plan walks every
-// part subgraph once; Aggregate can then run any number of times (the tool
-// hierarchy re-aggregates over the same partitions every level call)
-// without rebuilding trees or allocating per-part state. A plan is not
-// safe for concurrent use.
+// role tables, plus all run-state scratch. A role is one (part, vertex)
+// participation in the aggregation: the vertex's position in that part's
+// BFS tree (members aggregate, steiner relays forward). Building the plan
+// walks every part subgraph once; Aggregate can then run any number of
+// times (the tool hierarchy re-aggregates over the same partitions every
+// level call) without rebuilding trees or allocating per-part state. A
+// plan is not safe for concurrent use.
+//
+// The tables are laid out so that a vertex's handler pays per message it
+// receives or sends and per role it holds, never per incident edge: a
+// received message finds its role by a search over the vertex's own part
+// ids, a role's child edges are listed, and a vertex emits only from the
+// queues it has filled.
 type AggPlan struct {
-	g       *graph.Graph
-	part    *Partition
-	sc      *Shortcut
-	roles   []role
-	rolesAt [][]int32 // vertex -> indices into roles
+	g    *graph.Graph
+	part *Partition
+	sc   *Shortcut
+
+	// Roles are numbered vertex by vertex: v's roles are the indices
+	// [roleStart[v], roleStart[v+1]), in ascending part order, and
+	// rolePart holds their parts, so roleOf searches one short sorted run.
+	roleStart []int32
+	rolePart  []int32
+	// parentSlot[ri] is the half-edge slot (2*edgeID+dir, dir 1 when the
+	// sender is the edge's V endpoint) role ri sends up on; -1 at the
+	// leader.
+	parentSlot []int32
+	children   []int32
+	// Role ri's child slots, ordered as its vertex's row, are
+	// childSlot[childStart[ri]:childStart[ri+1]].
+	childStart []int32
+	childSlot  []int32
+	// rowPos[slot] is the position of the slot's edge in its sender's
+	// row, the order a vertex emits in.
+	rowPos []int32
 
 	// Run-state, reused across Aggregate calls.
 	acc        []Word
@@ -36,13 +52,13 @@ type AggPlan struct {
 	result     []Word
 	haveResult []bool
 	started    []bool
-	// queues[2*edgeID+dir] is the FIFO of payloads (tag, part, value)
-	// vertex us/vs[edgeID] (dir 0/1) still has to push over that edge, one
-	// per round; heads index into the queue slices to avoid re-slicing
-	// writes. A slot is written only by its sending vertex's handler. A
-	// sent message's Data aliases its queue entry: appends write past
-	// every live entry, and growth leaves the old array intact. The
-	// queues are kept across runs, amortizing payload allocation to zero.
+	// queues[slot] is the FIFO of payloads (tag, part, value) the slot's
+	// sender still has to push over that edge, one per round; heads index
+	// into the queue slices to avoid re-slicing writes. A slot is written
+	// only by its sending vertex's handler. A sent message's Data aliases
+	// its queue entry: appends write past every live entry, and growth
+	// leaves the old array intact. The queues are kept across runs,
+	// amortizing payload allocation to zero.
 	queues [][][3]Word
 	heads  []int32
 	// A slot's queue and head are this run's only when stamp[slot] == run;
@@ -50,6 +66,13 @@ type AggPlan struct {
 	// slots it uses and nothing else.
 	stamp []uint64
 	run   uint64
+	// v's non-empty queues are the slots live[off[v]:off[v]+liveN[v]]
+	// (off the graph's CSR row offsets), ordered by rowPos: a vertex has
+	// at most one per incident edge, so its region of the flat array is
+	// its row's. Only v's handler touches them.
+	off   []int32
+	live  []int32
+	liveN []int32
 }
 
 // NewAggPlan builds the plan: per-part BFS trees over G[V_p]+H_p rooted at
@@ -57,8 +80,25 @@ type AggPlan struct {
 // builds (ascending member order, incident order within a vertex).
 func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl := &AggPlan{g: g, part: part, sc: sc}
-	pl.rolesAt = make([][]int32, g.N)
 	us, vs := g.Endpoints()
+	off, ent := g.CSRView()
+	// slotOf is the half-edge slot of edge id sent from v.
+	slotOf := func(id, v int32) int32 {
+		if vs[id] == v {
+			return 2*id + 1
+		}
+		return 2 * id
+	}
+	pl.rowPos = make([]int32, 2*g.M())
+	for v := 0; v < g.N; v++ {
+		for i, h := range ent[off[v]:off[v+1]] {
+			pl.rowPos[slotOf(h.ID, int32(v))] = int32(i)
+		}
+	}
+
+	// Grow every part's tree, recording its roles in part order.
+	type proto struct{ v, part, parentEdge, children int32 }
+	var protos []proto
 	var pa partAdj
 	childCount := make(map[int32]int32) // vertex -> children in current part tree
 	parentEdge := make(map[int32]int32)
@@ -89,13 +129,58 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 			}
 		}
 		for _, v := range order {
-			ri := int32(len(pl.roles))
-			pl.roles = append(pl.roles, role{part: int32(p), parentEdge: parentEdge[v], children: childCount[v]})
-			pl.rolesAt[v] = append(pl.rolesAt[v], ri)
+			protos = append(protos, proto{v: v, part: int32(p), parentEdge: parentEdge[v], children: childCount[v]})
 		}
 		pa.queue = order[:0]
 	}
-	nr := len(pl.roles)
+
+	// Number the roles vertex by vertex; parts ascend within a vertex
+	// because protos come in part order.
+	nr := len(protos)
+	pl.roleStart = make([]int32, g.N+1)
+	for _, r := range protos {
+		pl.roleStart[r.v+1]++
+	}
+	for v := 0; v < g.N; v++ {
+		pl.roleStart[v+1] += pl.roleStart[v]
+	}
+	next := append([]int32(nil), pl.roleStart[:g.N]...)
+	pl.rolePart = make([]int32, nr)
+	pl.parentSlot = make([]int32, nr)
+	pl.children = make([]int32, nr)
+	pl.childStart = make([]int32, nr+1)
+	for _, r := range protos {
+		ri := next[r.v]
+		next[r.v]++
+		pl.rolePart[ri] = r.part
+		pl.children[ri] = r.children
+		pl.childStart[ri+1] = r.children
+		pl.parentSlot[ri] = -1
+		if r.parentEdge >= 0 {
+			pl.parentSlot[ri] = slotOf(r.parentEdge, r.v)
+		}
+	}
+	for ri := 0; ri < nr; ri++ {
+		pl.childStart[ri+1] += pl.childStart[ri]
+	}
+	// A child's parent slot, reversed, is its parent's child slot.
+	pl.childSlot = make([]int32, pl.childStart[nr])
+	fill := append([]int32(nil), pl.childStart[:nr]...)
+	for v := int32(0); v < int32(g.N); v++ {
+		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
+			if ps := pl.parentSlot[ri]; ps >= 0 {
+				pri := pl.roleOf(us[ps>>1]^vs[ps>>1]^v, pl.rolePart[ri])
+				pl.childSlot[fill[pri]] = ps ^ 1
+				fill[pri]++
+			}
+		}
+	}
+	for ri := 0; ri < nr; ri++ {
+		slices.SortFunc(pl.childSlot[pl.childStart[ri]:pl.childStart[ri+1]], func(a, b int32) int {
+			return int(pl.rowPos[a] - pl.rowPos[b])
+		})
+	}
+
 	pl.acc = make([]Word, nr)
 	pl.pend = make([]int32, nr)
 	pl.result = make([]Word, nr)
@@ -104,17 +189,41 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl.queues = make([][][3]Word, 2*g.M())
 	pl.heads = make([]int32, 2*g.M())
 	pl.stamp = make([]uint64, 2*g.M())
+	pl.off = off
+	pl.live = make([]int32, 2*g.M())
+	pl.liveN = make([]int32, g.N)
 	return pl
 }
 
 // roleOf returns v's role index in part p, or -1.
-func (pl *AggPlan) roleOf(p int32, v int32) int32 {
-	for _, ri := range pl.rolesAt[v] {
-		if pl.roles[ri].part == p {
-			return ri
-		}
+func (pl *AggPlan) roleOf(v, p int32) int32 {
+	lo, hi := pl.roleStart[v], pl.roleStart[v+1]
+	if i, ok := slices.BinarySearch(pl.rolePart[lo:hi], p); ok {
+		return lo + int32(i)
 	}
 	return -1
+}
+
+// push queues payload (tag, p, val) on slot, sent by v.
+func (pl *AggPlan) push(v, slot int32, tag, p, val Word) {
+	if pl.stamp[slot] != pl.run { // first use this run
+		pl.stamp[slot] = pl.run
+		pl.queues[slot] = pl.queues[slot][:0]
+		pl.heads[slot] = 0
+	}
+	q := pl.queues[slot]
+	if int(pl.heads[slot]) == len(q) {
+		// The queue was empty: insert the slot into v's live list, in
+		// row order.
+		live := pl.live[pl.off[v] : pl.off[v]+pl.liveN[v]+1]
+		i := len(live) - 1
+		for ; i > 0 && pl.rowPos[live[i-1]] > pl.rowPos[slot]; i-- {
+			live[i] = live[i-1]
+		}
+		live[i] = slot
+		pl.liveN[v]++
+	}
+	pl.queues[slot] = append(q, [3]Word{tag, p, val})
 }
 
 const (
@@ -134,45 +243,28 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 		return nil, fmt.Errorf("shortcuts: input length %d != n", len(x))
 	}
 	part := pl.part
-	_, vs := g.Endpoints()
 
-	// Reset run-state.
-	for ri, r := range pl.roles {
-		pl.pend[ri] = r.children
-		pl.haveResult[ri] = false
-		pl.started[ri] = false
-	}
+	// Reset run-state. An errored run may leave queues behind.
 	for v := 0; v < g.N; v++ {
-		for _, ri := range pl.rolesAt[v] {
-			if int32(part.Of[v]) == pl.roles[ri].part {
+		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
+			pl.pend[ri] = pl.children[ri]
+			pl.haveResult[ri] = false
+			pl.started[ri] = false
+			if int32(part.Of[v]) == pl.rolePart[ri] {
 				pl.acc[ri] = x[v]
 			} else {
 				pl.acc[ri] = identityHint // steiner relay: contributes nothing
 			}
 		}
+		pl.liveN[v] = 0
 	}
 	pl.run++
-	run := pl.run
-
-	push := func(v int32, edge int32, tag, p, val Word) {
-		dir := int32(0)
-		if vs[edge] == v {
-			dir = 1
-		}
-		slot := 2*edge + dir
-		if pl.stamp[slot] != run { // first use this run
-			pl.stamp[slot] = run
-			pl.queues[slot] = pl.queues[slot][:0]
-			pl.heads[slot] = 0
-		}
-		pl.queues[slot] = append(pl.queues[slot], [3]Word{tag, p, val})
-	}
 
 	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
 		v32 := int32(v)
 		for _, m := range inbox {
 			tag, p, val := m.Data[0], int32(m.Data[1]), m.Data[2]
-			ri := pl.roleOf(p, v32)
+			ri := pl.roleOf(v32, p)
 			if ri < 0 {
 				continue
 			}
@@ -193,13 +285,13 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 				// Forward downward on all child edges (enqueued once).
 			}
 		}
+		lo, hi := pl.roleStart[v], pl.roleStart[v+1]
 		// Role transitions.
-		for _, ri := range pl.rolesAt[v] {
-			r := pl.roles[ri]
+		for ri := lo; ri < hi; ri++ {
 			if pl.pend[ri] == 0 && !pl.started[ri] {
 				pl.started[ri] = true
-				if r.parentEdge >= 0 {
-					push(v32, r.parentEdge, tagUp, Word(r.part), pl.acc[ri])
+				if ps := pl.parentSlot[ri]; ps >= 0 {
+					pl.push(v32, ps, tagUp, Word(pl.rolePart[ri]), pl.acc[ri])
 				} else {
 					pl.result[ri] = pl.acc[ri]
 					pl.haveResult[ri] = true
@@ -208,43 +300,30 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 		}
 		// Downward forwarding: a role with a fresh result sends it to all
 		// children exactly once (children tracked via pend==-1 sentinel).
-		for _, ri := range pl.rolesAt[v] {
+		for ri := lo; ri < hi; ri++ {
 			if pl.haveResult[ri] && pl.pend[ri] != -1 {
 				pl.pend[ri] = -1
-				p := pl.roles[ri].part
-				// Enqueue to every child edge of this role's tree.
-				for _, h := range g.Row(v) {
-					if cri := pl.roleOf(p, h.To); cri >= 0 && pl.roles[cri].parentEdge == h.ID {
-						push(v32, h.ID, tagDown, Word(p), pl.result[ri])
-					}
+				for _, cs := range pl.childSlot[pl.childStart[ri]:pl.childStart[ri+1]] {
+					pl.push(v32, cs, tagDown, Word(pl.rolePart[ri]), pl.result[ri])
 				}
 			}
 		}
-		// Emit one queued message per incident edge.
+		// Emit one queued message per non-empty queue, in row order.
 		out := net.OutBuf(v)
-		active := false
-		for _, h := range g.Row(v) {
-			dir := int32(0)
-			if vs[h.ID] == v32 {
-				dir = 1
-			}
-			slot := 2*h.ID + dir
-			if pl.stamp[slot] != run {
-				continue
-			}
+		live := pl.live[pl.off[v] : pl.off[v]+pl.liveN[v]]
+		kept := live[:0]
+		for _, slot := range live {
 			q, head := pl.queues[slot], pl.heads[slot]
-			if int(head) >= len(q) {
-				continue
-			}
-			out = append(out, congest.Msg{EdgeID: int(h.ID), From: v, Data: q[head][:]})
+			out = append(out, congest.Msg{EdgeID: int(slot >> 1), From: v, Data: q[head][:]})
 			pl.heads[slot] = head + 1
 			if int(head)+1 < len(q) {
-				active = true
+				kept = append(kept, slot)
 			}
 		}
-		return out, active || len(out) > 0
+		pl.liveN[v] = int32(len(kept))
+		return out, len(kept) > 0 || len(out) > 0
 	}
-	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.roles) + 64)
+	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.rolePart) + 64)
 	if err := net.Run(handler, nil, maxRounds); err != nil {
 		return nil, err
 	}
@@ -254,7 +333,7 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 		if part.Of[v] < 0 {
 			continue
 		}
-		ri := pl.roleOf(int32(part.Of[v]), int32(v))
+		ri := pl.roleOf(int32(v), int32(part.Of[v]))
 		if ri < 0 || !pl.haveResult[ri] {
 			missing++
 			continue

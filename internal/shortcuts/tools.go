@@ -235,16 +235,18 @@ func (tl *Tools) HeavyLightLabels() (*lca.Labeling, error) {
 	return lca.Build(tl.T), nil
 }
 
-// CoveredDetection (Lemma 5.4): given a set S of non-tree edges (by graph
-// edge id), determines for every tree edge whether S covers it, using XOR
-// fingerprints of random edge identifiers aggregated over subtrees. The
-// result is exact iff no fingerprint collision occurs (probability
-// O(n^-8)); the returned slice is indexed by tree-edge child.
-func (tl *Tools) CoveredDetection(s map[int]bool, rng *rand.Rand) ([]bool, error) {
+// CoveredDetection (Lemma 5.4): given a set S of distinct non-tree edges
+// (by graph edge id), determines for every tree edge whether S covers it,
+// using XOR fingerprints of random edge identifiers aggregated over
+// subtrees. The fingerprints are drawn from rng in the order of s, so one
+// rng stream always gives the same answer. The result is exact iff no
+// fingerprint collision occurs (probability O(n^-8)); the returned slice
+// is indexed by tree-edge child.
+func (tl *Tools) CoveredDetection(s []int, rng *rand.Rand) ([]bool, error) {
 	t := tl.T
 	g := t.G
 	x := make([]Word, g.N)
-	for id := range s {
+	for _, id := range s {
 		rid := Word(rng.Int63())
 		e := g.Edges[id]
 		x[e.U] ^= rid
@@ -266,8 +268,9 @@ func (tl *Tools) CoveredDetection(s map[int]bool, rng *rand.Rand) ([]bool, error
 
 // CoverCount (Lemma 5.5): given marked tree edges (by child vertex), every
 // non-tree edge {u,v} learns how many marked tree edges it covers, via
-// marked-ancestor counts M_v + M_u - 2*M_w with w = LCA(u,v).
-func (tl *Tools) CoverCount(marked []bool) (map[int]int, error) {
+// marked-ancestor counts M_v + M_u - 2*M_w with w = LCA(u,v). The result
+// is indexed by graph edge id; tree edges read 0.
+func (tl *Tools) CoverCount(marked []bool) ([]int, error) {
 	t := tl.T
 	g := t.G
 	x := make([]Word, g.N)
@@ -281,7 +284,7 @@ func (tl *Tools) CoverCount(marked []bool) (map[int]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := map[int]int{}
+	out := make([]int, g.M())
 	for _, id := range t.NonTreeEdgeIDs() {
 		e := g.Edges[id]
 		w := t.LCA(e.U, e.V)
