@@ -371,7 +371,7 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadGateway, map[string]string{"error": err.Error()})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRelayBytes))
+	body, err := service.ReadBody(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "read body: " + err.Error()})
 		return

@@ -283,7 +283,7 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := ReadBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return

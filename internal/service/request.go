@@ -216,14 +216,15 @@ func explain(data []byte) error {
 	return errors.New("malformed solve request")
 }
 
-// maxPresizeBytes caps the buffer readBody sizes from Content-Length
+// maxPresizeBytes caps the buffer ReadBody sizes from Content-Length
 // before any byte arrives, so a false length reserves little.
 const maxPresizeBytes = 1 << 20
 
-// readBody reads the whole request body, at most maxBodyBytes of it, into
+// ReadBody reads the whole request body, at most maxBodyBytes of it, into
 // one buffer sized from Content-Length when the client sent one. The
-// spare byte lets the read that meets the end need no growth.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// spare byte lets the read that meets the end need no growth. The solve
+// handler and the router's read both their request bodies through it.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	buf := make([]byte, 0, min(max(r.ContentLength, 512), maxPresizeBytes)+1)
 	for {

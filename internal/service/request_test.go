@@ -232,7 +232,7 @@ func TestReadBody(t *testing.T) {
 		httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(want)),
 		httptest.NewRequest(http.MethodPost, "/v1/solve", io.MultiReader(bytes.NewReader(want))),
 	} {
-		got, err := readBody(httptest.NewRecorder(), r)
+		got, err := ReadBody(httptest.NewRecorder(), r)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("Content-Length %d: read %d bytes, %v; want the %d sent", r.ContentLength, len(got), err, len(want))
 		}
