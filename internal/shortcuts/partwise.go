@@ -26,7 +26,6 @@ import (
 type AggPlan struct {
 	g    *graph.Graph
 	part *Partition
-	sc   *Shortcut
 
 	// Roles are numbered vertex by vertex: v's roles are the indices
 	// [roleStart[v], roleStart[v+1]), in ascending part order, and
@@ -37,7 +36,6 @@ type AggPlan struct {
 	// sender is the edge's V endpoint) role ri sends up on; -1 at the
 	// leader.
 	parentSlot []int32
-	children   []int32
 	// Role ri's child slots, ordered as its vertex's row, are
 	// childSlot[childStart[ri]:childStart[ri+1]].
 	childStart []int32
@@ -79,7 +77,7 @@ type AggPlan struct {
 // the part leader, in the exact construction order of the legacy per-call
 // builds (ascending member order, incident order within a vertex).
 func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
-	pl := &AggPlan{g: g, part: part, sc: sc}
+	pl := &AggPlan{g: g, part: part}
 	us, vs := g.Endpoints()
 	off, ent := g.CSRView()
 	// slotOf is the half-edge slot of edge id sent from v.
@@ -97,10 +95,9 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	}
 
 	// Grow every part's tree, recording its roles in part order.
-	type proto struct{ v, part, parentEdge, children int32 }
+	type proto struct{ v, part, parentEdge int32 }
 	var protos []proto
 	var pa partAdj
-	childCount := make(map[int32]int32) // vertex -> children in current part tree
 	parentEdge := make(map[int32]int32)
 	for p := 0; p < part.Parts; p++ {
 		members := part.Members[p]
@@ -110,7 +107,6 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 		pa.build(g, part, sc.EdgesOf[p], p)
 		leader := int32(members[0])
 		clear(parentEdge)
-		clear(childCount)
 		parentEdge[leader] = -1
 		order := append(pa.queue[:0], leader)
 		for qi := 0; qi < len(order); qi++ {
@@ -123,13 +119,8 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 				}
 			}
 		}
-		for v, pe := range parentEdge {
-			if pe >= 0 {
-				childCount[us[pe]^vs[pe]^v]++
-			}
-		}
 		for _, v := range order {
-			protos = append(protos, proto{v: v, part: int32(p), parentEdge: parentEdge[v], children: childCount[v]})
+			protos = append(protos, proto{v: v, part: int32(p), parentEdge: parentEdge[v]})
 		}
 		pa.queue = order[:0]
 	}
@@ -147,32 +138,35 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	next := append([]int32(nil), pl.roleStart[:g.N]...)
 	pl.rolePart = make([]int32, nr)
 	pl.parentSlot = make([]int32, nr)
-	pl.children = make([]int32, nr)
-	pl.childStart = make([]int32, nr+1)
 	for _, r := range protos {
 		ri := next[r.v]
 		next[r.v]++
 		pl.rolePart[ri] = r.part
-		pl.children[ri] = r.children
-		pl.childStart[ri+1] = r.children
 		pl.parentSlot[ri] = -1
 		if r.parentEdge >= 0 {
 			pl.parentSlot[ri] = slotOf(r.parentEdge, r.v)
 		}
 	}
-	for ri := 0; ri < nr; ri++ {
-		pl.childStart[ri+1] += pl.childStart[ri]
-	}
 	// A child's parent slot, reversed, is its parent's child slot.
-	pl.childSlot = make([]int32, pl.childStart[nr])
-	fill := append([]int32(nil), pl.childStart[:nr]...)
+	parentRole := make([]int32, nr)
+	pl.childStart = make([]int32, nr+1)
 	for v := int32(0); v < int32(g.N); v++ {
 		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
 			if ps := pl.parentSlot[ri]; ps >= 0 {
-				pri := pl.roleOf(us[ps>>1]^vs[ps>>1]^v, pl.rolePart[ri])
-				pl.childSlot[fill[pri]] = ps ^ 1
-				fill[pri]++
+				parentRole[ri] = pl.roleOf(us[ps>>1]^vs[ps>>1]^v, pl.rolePart[ri])
+				pl.childStart[parentRole[ri]+1]++
 			}
+		}
+	}
+	for ri := 0; ri < nr; ri++ {
+		pl.childStart[ri+1] += pl.childStart[ri]
+	}
+	pl.childSlot = make([]int32, pl.childStart[nr])
+	fill := append([]int32(nil), pl.childStart[:nr]...)
+	for ri, ps := range pl.parentSlot {
+		if ps >= 0 {
+			pl.childSlot[fill[parentRole[ri]]] = ps ^ 1
+			fill[parentRole[ri]]++
 		}
 	}
 	for ri := 0; ri < nr; ri++ {
@@ -247,7 +241,7 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 	// Reset run-state. An errored run may leave queues behind.
 	for v := 0; v < g.N; v++ {
 		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
-			pl.pend[ri] = pl.children[ri]
+			pl.pend[ri] = pl.childStart[ri+1] - pl.childStart[ri]
 			pl.haveResult[ri] = false
 			pl.started[ri] = false
 			if int32(part.Of[v]) == pl.rolePart[ri] {
