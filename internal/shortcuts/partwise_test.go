@@ -3,6 +3,7 @@ package shortcuts
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"twoecss/internal/congest"
@@ -153,7 +154,7 @@ func TestAggregateSchedule(t *testing.T) {
 					}
 				}
 			}
-			if fmt.Sprint(want[name]) != fmt.Sprint(got) {
+			if !slices.Equal(want[name], got) {
 				t.Errorf("workers=%d %s: schedule changed\n got %s\nwant %s", workers, name, goLiteral(got), goLiteral(want[name]))
 			}
 		}
