@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
 	"slices"
@@ -380,10 +381,9 @@ func TestRunRecyclesAcrossCalls(t *testing.T) {
 // TestWorklistAscendingDenseAndSparse alternates dense rounds (a hub
 // messages every leaf, in descending order) with sparse ones (the hub
 // messages three leaves, in descending order). Either way the next
-// worklist is assembled out of order: the active hub, the highest id, goes
+// worklist's bits are set out of order: the active hub, the highest id,
 // first. Handlers must still run in strictly ascending node order in every
-// round, whether the worklist was rebuilt by the pending-flag scan or
-// sorted.
+// round, however many nodes it schedules.
 func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 	const n = 256
 	hub := n - 1
@@ -426,7 +426,7 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 				t.Fatalf("round %d ran handlers out of order: %v", i+1, vs)
 			}
 		}
-		if len(vs) >= n/denseNextDiv {
+		if len(vs) >= 16 {
 			dense++
 		} else {
 			sparse++
@@ -440,5 +440,96 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 	}
 	if len(ran[1]) != 4 || len(ran[2]) != n {
 		t.Fatalf("rounds 2 and 3 ran %d and %d handlers, want 4 and %d", len(ran[1]), len(ran[2]), n)
+	}
+}
+
+// TestInboxOrderOverParallelEdges checks the inbox order contract on a
+// multigraph: (From, EdgeID) ascending, and messages on one edge in their
+// sender's outbox order. Two senders each reach the receiver over three
+// parallel edges and send in descending edge order, twice on the middle
+// edge. In the large variant every node runs in round 1 and the rest flood
+// the path (enough nodes for the pool and enough messages for the sharded
+// route at four workers); the receiver runs after the senders in that round
+// and must not see their messages until round 2. In the small variant only
+// the senders run.
+func TestInboxOrderOverParallelEdges(t *testing.T) {
+	const n, recv = 128, 100
+	senders := []int{3, 7}
+	for _, large := range []bool{true, false} {
+		for _, workers := range []int{1, 4} {
+			g := pathGraph(n) // edge v-1 joins v-1 and v
+			par := map[int][]int{}
+			for _, s := range senders {
+				for k := 0; k < 3; k++ {
+					par[s] = append(par[s], g.MustAddEdge(s, recv, 1))
+				}
+			}
+			net := NewNetwork(g)
+			net.Workers = workers
+			outs := make([][]Msg, n)
+			var got [][]Msg // got[r-1] is the receiver's inbox in round r
+			handler := func(v int, inbox []Msg) ([]Msg, bool) {
+				r := int(net.Stats().SimulatedRounds)
+				if v == recv {
+					for len(got) < r {
+						got = append(got, nil)
+					}
+					got[r-1] = slices.Clone(inbox)
+				}
+				if r != 1 {
+					return nil, false
+				}
+				var out []Msg
+				send := func(id int) {
+					tag := Word(v*100 + len(out))
+					out = append(out, Msg{EdgeID: id, From: v, Data: []Word{tag}})
+				}
+				if ids := par[v]; ids != nil {
+					send(ids[2])
+					send(ids[1])
+					send(ids[1])
+					send(ids[0])
+				} else if large && v != recv {
+					for _, id := range g.Incident(v) {
+						send(id)
+						send(id)
+					}
+				}
+				outs[v] = out
+				return out, false
+			}
+			start := senders
+			if large {
+				start = nil
+			}
+			if err := net.Run(handler, start, 10); err != nil {
+				t.Fatal(err)
+			}
+			net.Close()
+			// The reference order: every message to the receiver, senders
+			// ascending and each in outbox order, stably sorted.
+			var want []Msg
+			for _, out := range outs {
+				for _, m := range out {
+					if m.To(g) == recv {
+						want = append(want, m)
+					}
+				}
+			}
+			slices.SortStableFunc(want, func(a, b Msg) int {
+				return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.EdgeID, b.EdgeID))
+			})
+			if len(got) < 2 || len(got[0]) != 0 {
+				t.Fatalf("large=%v workers=%d: receiver inboxes %v, want an empty one in round 1 and then its messages", large, workers, got)
+			}
+			if !slices.EqualFunc(got[1], want, func(a, b Msg) bool {
+				return a.EdgeID == b.EdgeID && a.From == b.From && a.Data[0] == b.Data[0]
+			}) {
+				t.Fatalf("large=%v workers=%d: inbox\n %v\nwant\n %v", large, workers, got[1], want)
+			}
+			if len(want) < 8 {
+				t.Fatalf("large=%v workers=%d: only %d messages to the receiver", large, workers, len(want))
+			}
+		}
 	}
 }

@@ -4,9 +4,11 @@ package congest
 // DESIGN.md for the full write-up) are:
 //
 //   - Worklist scheduling: a round schedules exactly the nodes that are
-//     active or hold undelivered messages; building the next worklist costs
-//     O(active), not O(N): a sparse one is sorted, and a dense one (at least
-//     N/16 nodes) is rebuilt by one scan of the pending flags.
+//     active or hold undelivered messages, taken in ascending order from a
+//     bitset that delivery and active handlers set: O(active + N/64), no sort.
+//   - One pass per round: a handler phase on one goroutine delivers each
+//     message right after validating and billing it, into a second inbox
+//     set that the next round reads; the two sets swap at the round's end.
 //   - Flat bandwidth accounting: the per-(edge,direction) word counters live
 //     in one []int32 indexed by 2*edgeID+dir and are lazily reset by an
 //     epoch stamp, so a round allocates no map and pays no reset loop.
@@ -14,20 +16,20 @@ package congest
 //     rounds and across Run calls on the same Network; handlers can opt into
 //     recycled outbox envelopes via Network.OutBuf. In steady state a round
 //     performs zero engine-side allocations.
-//   - Sharded delivery: both handler execution and message routing run on a
-//     small worker pool owned by the Network, spawned lazily on the first
-//     parallel round and reused across Run calls (see Network.Close for the
-//     lifecycle). Delivery is sharded by receiver, so every inbox is filled
-//     by exactly one worker scanning senders in ascending order — results
-//     are bit-identical for any worker count.
+//   - Sharded delivery: a round with many scheduled nodes runs its handlers
+//     on a worker pool owned by the Network (spawned lazily, reused across
+//     Run calls; see Network.Close), then routes by receiver shards aligned
+//     to 64 nodes, so every inbox and worklist word has one writer scanning
+//     senders in ascending order — results are bit-identical for any
+//     worker count.
 //   - Flat adjacency: incidence validation and routing read the graph's CSR
 //     endpoint arrays (graph.Endpoints), 8 bytes per message instead of a
 //     24-byte Edge struct load.
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 )
@@ -42,11 +44,6 @@ const (
 	parallelMsgsPerWorker = 64
 )
 
-// denseNextDiv sets when the next worklist is rebuilt by a scan instead of
-// a sort: once it holds at least N/denseNextDiv nodes, an O(N) pass over
-// the pending flags is cheaper than an O(k log k) sort of k entries.
-const denseNextDiv = 16
-
 // wstate is the per-worker accumulator for one round. Hot counters are kept
 // in locals inside the phase functions and written back once per phase, so
 // false sharing between adjacent wstates is not a concern.
@@ -55,7 +52,6 @@ type wstate struct {
 	words    int64
 	maxEdge  int32
 	maxNode  int64 // peak per-node payload words sent this round
-	recv     []int // receivers this worker delivered to this round
 	// First validation/bandwidth error observed by this worker, with its
 	// (sender, outbox index) position for deterministic cross-worker merge.
 	valErr     error
@@ -67,15 +63,16 @@ type wstate struct {
 // scratch holds all engine state that survives rounds and Run calls. It is
 // lazily sized to the network's graph on first use.
 type scratch struct {
-	inboxes  [][]Msg
+	inboxes [][]Msg // this round's inboxes, read by the handlers
+	inNext  [][]Msg // next round's inboxes, unseen by this round's later receivers
+	// outboxes and active hold a pooled handler phase's results until the
+	// main goroutine and route consume them; an inline round uses neither.
 	outboxes [][]Msg
-	outBufs  [][]Msg // recycled envelopes handed out by OutBuf
-	handed   []bool  // v's handler took its OutBuf envelope this round
 	active   []bool
-	pending  []bool // v is already on the next worklist
-	hasMsg   []bool // v already received a message this round
-	sched    []int  // current round worklist, ascending
-	next     []int  // next round worklist, unsorted until round end
+	outBufs  [][]Msg  // recycled envelopes handed out by OutBuf
+	handed   []bool   // v's handler took its OutBuf envelope this round
+	due      []uint64 // bitset of the next round's worklist
+	sched    []int    // current round worklist, ascending
 	// edgeWords[2*id+dir] counts words sent this round on edge id in
 	// direction dir (0 = from Edges[id].U, 1 = from Edges[id].V). A slot is
 	// valid only when edgeEpoch matches the current epoch; epochs increment
@@ -93,14 +90,13 @@ type scratch struct {
 func (s *scratch) ensure(n, m, workers int) {
 	if len(s.inboxes) < n {
 		s.inboxes = make([][]Msg, n)
+		s.inNext = make([][]Msg, n)
 		s.outboxes = make([][]Msg, n)
+		s.active = make([]bool, n)
 		s.outBufs = make([][]Msg, n)
 		s.handed = make([]bool, n)
-		s.active = make([]bool, n)
-		s.pending = make([]bool, n)
-		s.hasMsg = make([]bool, n)
+		s.due = make([]uint64, (n+63)/64)
 		s.sched = make([]int, 0, n)
-		s.next = make([]int, 0, n)
 	}
 	if len(s.edgeWords) < 2*m {
 		s.edgeWords = make([]int32, 2*m)
@@ -110,6 +106,9 @@ func (s *scratch) ensure(n, m, workers int) {
 		s.workers = make([]wstate, workers)
 	}
 }
+
+// setDue puts v on the next round's worklist.
+func (s *scratch) setDue(v int) { s.due[v>>6] |= 1 << (v & 63) }
 
 // OutBuf returns node v's recycled outbox envelope, truncated to length
 // zero. A handler running for v may append its outgoing messages to it and
@@ -129,12 +128,29 @@ func (n *Network) OutBuf(v int) []Msg {
 }
 
 // msgCmp orders messages by (From, EdgeID): the deterministic inbox order
-// contract. It is a top-level function so slices.SortFunc never allocates.
+// contract.
 func msgCmp(a, b Msg) int {
 	if a.From != b.From {
 		return a.From - b.From
 	}
 	return a.EdgeID - b.EdgeID
+}
+
+// deliver inserts m into an inbox after every entry that does not sort
+// after it. Senders deliver in ascending order, so only entries of m's own
+// sender can sort after it, and usually none does: the inbox stays in
+// (From, EdgeID) order, and messages on one edge keep their outbox order.
+func deliver(box []Msg, m Msg) []Msg {
+	i := len(box)
+	for i > 0 && msgCmp(box[i-1], m) > 0 {
+		i--
+	}
+	box = append(box, m)
+	if i < len(box)-1 {
+		copy(box[i+1:], box[i:])
+		box[i] = m
+	}
+	return box
 }
 
 // engine is the per-Run execution state: the handler, flat edge-endpoint
@@ -248,33 +264,24 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 	us, vs := g.Endpoints() // also forces the CSR build pre-fan-out
 
 	// Reset per-Run state. A previous errored Run may have left stale
-	// inboxes or worklist flags behind.
+	// inboxes or worklist bits behind.
 	for v := 0; v < g.N; v++ {
 		sc.inboxes[v] = sc.inboxes[v][:0]
-		sc.outboxes[v] = nil
+		sc.inNext[v] = sc.inNext[v][:0]
 		sc.handed[v] = false
-		sc.active[v] = false
-		sc.pending[v] = false
-		sc.hasMsg[v] = false
 	}
-	sc.sched = sc.sched[:0]
-	sc.next = sc.next[:0]
+	clear(sc.due)
 	if start == nil {
 		for v := 0; v < g.N; v++ {
-			sc.pending[v] = true
-			sc.next = append(sc.next, v)
+			sc.setDue(v)
 		}
 	} else {
 		for _, v := range start {
 			if v < 0 || v >= g.N {
 				return fmt.Errorf("congest: start node %d out of range [0,%d)", v, g.N)
 			}
-			if !sc.pending[v] {
-				sc.pending[v] = true
-				sc.next = append(sc.next, v)
-			}
+			sc.setDue(v)
 		}
-		slices.Sort(sc.next)
 	}
 
 	e := &sc.eng
@@ -287,8 +294,16 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 	var tRound, tRoute time.Time
 
 	for round := int64(0); ; round++ {
-		sc.sched, sc.next = sc.next, sc.sched[:0]
-		if len(sc.sched) == 0 {
+		// Walk the due bits in ascending order, clearing each word.
+		sched := sc.sched[:0]
+		for i, word := range sc.due {
+			sc.due[i] = 0
+			for ; word != 0; word &= word - 1 {
+				sched = append(sched, i<<6|bits.TrailingZeros64(word))
+			}
+		}
+		sc.sched = sched
+		if len(sched) == 0 {
 			return nil
 		}
 		if round >= maxRounds {
@@ -296,20 +311,17 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		}
 		n.stats.SimulatedRounds++
 		sc.epoch++
-		for _, v := range sc.sched {
-			sc.pending[v] = false
-		}
 		if observer != nil {
 			tRound = time.Now()
 		}
 
-		// Phase 1: run handlers, validate outboxes, account bandwidth.
-		// Each scheduled node is processed by exactly one worker, and every
-		// (edge,direction) counter slot is owned by its unique sender, so
-		// the phase needs no locks.
+		// Run handlers, validate outboxes, account bandwidth; on one
+		// goroutine also deliver. Each scheduled node is processed by
+		// exactly one worker, and every (edge,direction) counter slot is
+		// owned by its unique sender, so the phase needs no locks.
 		var roundMsgs, roundWords, roundMaxNode int64
 		var roundMaxEdge int32
-		used := e.runPhase(1, len(sc.sched) >= parallelSchedMin)
+		used := e.runPhase(1, len(sched) >= parallelSchedMin)
 		for w := 0; w < used; w++ {
 			ws := &sc.workers[w]
 			n.stats.Messages += ws.messages
@@ -336,45 +348,23 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 			handlerNs = tRoute.Sub(tRound).Nanoseconds()
 		}
 
-		// Nodes that stay active are scheduled again.
-		for _, v := range sc.sched {
-			if sc.active[v] && !sc.pending[v] {
-				sc.pending[v] = true
-				sc.next = append(sc.next, v)
-			}
-		}
-
-		// Phase 2: route messages to receiver inboxes, sharded by receiver.
-		used = 0
-		if roundMsgs > 0 {
-			used = e.runPhase(2, roundMsgs >= int64(parallelMsgsPerWorker*e.W))
-		}
-		for w := 0; w < used; w++ {
-			ws := &sc.workers[w]
-			for _, to := range ws.recv {
-				if !sc.pending[to] {
-					sc.pending[to] = true
-					sc.next = append(sc.next, to)
+		// A pooled handler phase left its results behind: schedule the
+		// nodes that stay active, then route, sharded by receiver.
+		if used > 1 {
+			for _, v := range sched {
+				if sc.active[v] {
+					sc.setDue(v)
 				}
 			}
-			ws.recv = ws.recv[:0]
-		}
-		// pending marks exactly the nodes on next, so a dense worklist is
-		// rebuilt in ascending order by scanning the flags.
-		if len(sc.next) >= g.N/denseNextDiv {
-			sc.next = sc.next[:0]
-			for v, p := range sc.pending[:g.N] {
-				if p {
-					sc.next = append(sc.next, v)
-				}
+			if roundMsgs > 0 {
+				e.runPhase(2, roundMsgs >= int64(parallelMsgsPerWorker*e.W))
 			}
-		} else {
-			slices.Sort(sc.next)
 		}
+		sc.inboxes, sc.inNext = sc.inNext, sc.inboxes
 		if observer != nil {
 			observer.ObserveRound(RoundSample{
 				Round:        n.stats.SimulatedRounds,
-				Active:       len(sc.sched),
+				Active:       len(sched),
 				Messages:     roundMsgs,
 				Words:        roundWords,
 				MaxEdgeWords: int(roundMaxEdge),
@@ -415,9 +405,13 @@ func (e *engine) runPhase(phase int8, parallel bool) int {
 }
 
 // runHandlers executes worker w's contiguous share of the schedule: the
-// handler call, outbox validation, and bandwidth accounting.
+// handler call, outbox validation, and bandwidth accounting. With W == 1 it
+// is the round's only worker and also delivers every valid message and
+// schedules the active nodes; on the pool it leaves both to the main
+// goroutine and route.
 func (e *engine) runHandlers(w, W int) {
 	sc, g := e.sc, e.net.G
+	inline := W == 1
 	sched := sc.sched
 	chunk := (len(sched) + W - 1) / W
 	lo := w * chunk
@@ -431,6 +425,8 @@ func (e *engine) runHandlers(w, W int) {
 	ws := &sc.workers[w]
 	budget := int32(e.net.WordsPerEdge)
 	epoch := sc.epoch
+	us, vs, nEdges := e.us, e.vs, g.M()
+	edgeWords, edgeEpoch, inNext := sc.edgeWords, sc.edgeEpoch, sc.inNext
 	var messages, words int64
 	maxEdge := ws.maxEdge
 	maxNode := ws.maxNode
@@ -438,8 +434,14 @@ func (e *engine) runHandlers(w, W int) {
 		nodeStart := words
 		out, act := e.handler(v, sc.inboxes[v])
 		sc.inboxes[v] = sc.inboxes[v][:0]
-		sc.active[v] = act
-		sc.outboxes[v] = out
+		if inline {
+			if act {
+				sc.setDue(v)
+			}
+		} else {
+			sc.active[v] = act
+			sc.outboxes[v] = out
+		}
 		// Re-adopt the OutBuf envelope (possibly grown by append) only when
 		// this handler invocation took it: adopting arbitrary returned
 		// slices would let a buffer shared across nodes alias multiple
@@ -457,37 +459,42 @@ func (e *engine) runHandlers(w, W int) {
 				ws.recordVal(fmt.Errorf("congest: node %d forged sender %d", v, m.From), v, i)
 				break
 			}
-			if m.EdgeID < 0 || m.EdgeID >= g.M() {
+			if m.EdgeID < 0 || m.EdgeID >= nEdges {
 				ws.recordVal(fmt.Errorf("congest: node %d sent on bad edge %d", v, m.EdgeID), v, i)
 				break
 			}
-			dir := 0
-			if e.vs[m.EdgeID] == v32 {
-				dir = 1
-			} else if e.us[m.EdgeID] != v32 {
+			dir, to := 0, vs[m.EdgeID]
+			if to == v32 {
+				dir, to = 1, us[m.EdgeID]
+			} else if us[m.EdgeID] != v32 {
 				ws.recordVal(fmt.Errorf("congest: node %d sent on non-incident edge %d", v, m.EdgeID), v, i)
 				break
 			}
 			slot := 2*m.EdgeID + dir
-			if sc.edgeEpoch[slot] != epoch {
-				sc.edgeEpoch[slot] = epoch
-				sc.edgeWords[slot] = 0
+			if edgeEpoch[slot] != epoch {
+				edgeEpoch[slot] = epoch
+				edgeWords[slot] = 0
 			}
 			cost := int32(len(m.Data))
 			if cost == 0 {
 				cost = 1 // an empty message still occupies the slot
 			}
-			sc.edgeWords[slot] += cost
-			if sc.edgeWords[slot] > budget && ws.bwErr == nil {
+			used := edgeWords[slot] + cost
+			edgeWords[slot] = used
+			if used > budget && ws.bwErr == nil {
 				ws.bwErr = &ErrBandwidth{EdgeID: m.EdgeID, From: v,
-					Words: int(sc.edgeWords[slot]), Budget: e.net.WordsPerEdge}
+					Words: int(used), Budget: e.net.WordsPerEdge}
 				ws.bwV, ws.bwI = v, i
 			}
-			if sc.edgeWords[slot] > maxEdge {
-				maxEdge = sc.edgeWords[slot]
+			if used > maxEdge {
+				maxEdge = used
 			}
 			messages++
 			words += int64(len(m.Data))
+			if inline {
+				inNext[to] = deliver(inNext[to], *m)
+				sc.setDue(int(to))
+			}
 		}
 		if nw := words - nodeStart; nw > maxNode {
 			maxNode = nw
@@ -531,19 +538,14 @@ func (e *engine) mergeErrors(used int) error {
 	return nil
 }
 
-// route delivers every outbox message whose receiver falls in worker w's
-// contiguous receiver range, scanning senders in ascending schedule order —
-// so each inbox is appended to by exactly one worker, in deterministic
-// order, and is sorted by that worker once its scan completes.
+// route delivers the outbox messages of a pooled handler phase whose
+// receiver falls in worker w's receiver range, scanning senders in
+// ascending schedule order. The ranges are aligned to 64 nodes, so each
+// inbox and each word of the due bitset is written by exactly one worker.
 func (e *engine) route(w, W int) {
-	sc, g := e.sc, e.net.G
-	n := g.N
-	lo, hi := w*n/W, (w+1)*n/W
-	if w == W-1 {
-		hi = n
-	}
-	ws := &sc.workers[w]
-	recv := ws.recv
+	sc := e.sc
+	nw := (e.net.G.N + 63) / 64
+	lo, hi := w*nw/W*64, (w+1)*nw/W*64
 	us, vs := e.us, e.vs
 	for _, v := range sc.sched {
 		v32 := int32(v)
@@ -554,19 +556,8 @@ func (e *engine) route(w, W int) {
 			if to < lo || to >= hi {
 				continue
 			}
-			if !sc.hasMsg[to] {
-				sc.hasMsg[to] = true
-				recv = append(recv, to)
-			}
-			sc.inboxes[to] = append(sc.inboxes[to], m)
+			sc.inNext[to] = deliver(sc.inNext[to], m)
+			sc.setDue(to)
 		}
 	}
-	// Deterministic inbox order regardless of outbox order: (From, EdgeID).
-	for _, to := range recv {
-		if len(sc.inboxes[to]) > 1 {
-			slices.SortFunc(sc.inboxes[to], msgCmp)
-		}
-		sc.hasMsg[to] = false
-	}
-	ws.recv = recv
 }

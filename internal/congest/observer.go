@@ -31,9 +31,11 @@ type RoundSample struct {
 	// MaxNodeWords is the round's peak per-node send volume in payload
 	// words — the busiest sender's congestion.
 	MaxNodeWords int64
-	// HandlerNs and RouteNs split the round's wall time into the handler
-	// phase (node logic + bandwidth accounting) and the delivery phase
-	// (routing + next-worklist construction).
+	// HandlerNs and RouteNs split the round's wall time. HandlerNs is the
+	// handler phase: node logic and bandwidth accounting, plus delivery
+	// when the phase ran on one goroutine. RouteNs is the rest: the
+	// sharded route after a pooled handler phase, else only end-of-round
+	// bookkeeping.
 	HandlerNs int64
 	RouteNs   int64
 }

@@ -27,3 +27,32 @@ func BenchmarkSolveLarge(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSolveCold times the solve a cold request pays: one
+// single-worker Solve plus Verify of an n=256 instance on a fresh network,
+// over the five families round-robin.
+func BenchmarkSolveCold(b *testing.B) {
+	var gs []*graph.Graph
+	for _, family := range []string{"er", "grid", "ring", "random", "ba"} {
+		g, err := graph.ByFamily(family, 256, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		gs = append(gs, g)
+	}
+	opt := DefaultOptions()
+	opt.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := gs[i%len(gs)]
+		res, net, err := Solve(g, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		net.Close()
+		if err := Verify(g, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -179,8 +179,8 @@ func (s *Solver) Solve(opt Options) (*Result, error) {
 				}
 				progressed = true
 				needed -= s.commit(sample, marked, chosen, res)
-				// Coverage state refresh (Lemma 5.4 tool call).
-				if err := s.billCoverage(marked, opt.Rng); err != nil {
+				// Bill the coverage refresh (Lemma 5.4 tool call).
+				if err := s.billCoverage(opt.Rng); err != nil {
 					return nil, err
 				}
 				candidates = s.eligible(counts, chosen, delta, opt.Eps)
@@ -200,7 +200,7 @@ func (s *Solver) Solve(opt Options) (*Result, error) {
 			s.effectiveness(best, counts) >= delta*(1-opt.Eps) {
 			res.Fallbacks++
 			needed -= s.commit([]int{best}, marked, chosen, res)
-			if err := s.billCoverage(marked, opt.Rng); err != nil {
+			if err := s.billCoverage(opt.Rng); err != nil {
 				return nil, err
 			}
 			continue // stay at this delta
@@ -317,9 +317,11 @@ func (s *Solver) billGoodness() error {
 	return err
 }
 
-// billCoverage refreshes the marked set via the Lemma 5.4 detector (one
-// DescendantsSum over the shortcut hierarchy).
-func (s *Solver) billCoverage(marked []bool, rng *rand.Rand) error {
+// billCoverage bills the Lemma 5.4 detector's coverage refresh (one
+// DescendantsSum over the shortcut hierarchy). It draws len(nonTree)
+// fingerprints from rng for a detection the solver does not consult: the
+// coverage state comes from commit.
+func (s *Solver) billCoverage(rng *rand.Rand) error {
 	_, err := s.Tools.CoveredDetection(s.nonTree, rng)
 	return err
 }
