@@ -53,7 +53,9 @@ func (m Msg) To(g *graph.Graph) int { return g.Edges[m.EdgeID].Other(m.From) }
 // Handler is the per-round logic of one node: it receives the messages
 // delivered to node v this round and returns the messages v sends next
 // round plus whether v still wants to be scheduled while silent.
-// A handler must only access state belonging to node v.
+// A handler must only access state belonging to node v. An empty inbox is
+// always nil, even though the engine keeps presized inbox buffers, so a
+// handler may test inbox == nil for "no mail this round".
 type Handler func(v int, inbox []Msg) (outbox []Msg, active bool)
 
 // Stats aggregates the cost accounting of a network.

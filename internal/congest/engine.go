@@ -32,6 +32,8 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"twoecss/internal/graph"
 )
 
 // parallelSchedMin and parallelMsgsPerWorker gate the parallel paths: below
@@ -87,7 +89,8 @@ type scratch struct {
 	eng engine
 }
 
-func (s *scratch) ensure(n, m, workers int) {
+func (s *scratch) ensure(g *graph.Graph, workers int) {
+	n, m := g.N, g.M()
 	if len(s.inboxes) < n {
 		s.inboxes = make([][]Msg, n)
 		s.inNext = make([][]Msg, n)
@@ -97,6 +100,7 @@ func (s *scratch) ensure(n, m, workers int) {
 		s.handed = make([]bool, n)
 		s.due = make([]uint64, (n+63)/64)
 		s.sched = make([]int, 0, n)
+		s.presize(g)
 	}
 	if len(s.edgeWords) < 2*m {
 		s.edgeWords = make([]int32, 2*m)
@@ -104,6 +108,27 @@ func (s *scratch) ensure(n, m, workers int) {
 	}
 	if len(s.workers) < workers {
 		s.workers = make([]wstate, workers)
+	}
+}
+
+// presize carves every node's outbox envelope and inbox windows out of two
+// slabs of 2m messages, laid out like the graph's CSR rows, so a fresh
+// network does not grow them message by message. The primitives send at
+// most one message per incident edge per round, so the envelope gets the
+// node's degree. The two inbox sets alternate by round and most rounds
+// deliver a node far fewer messages than its degree, so each set gets half
+// of it. A buffer that outgrows its window reallocates as before; a BFS
+// flood, which delivers a level's explores into one set, is the usual case.
+func (s *scratch) presize(g *graph.Graph) {
+	off, _ := g.CSRView()
+	out := make([]Msg, 2*g.M())
+	in := make([]Msg, 2*g.M())
+	for v := range g.N {
+		lo, hi := off[v], off[v+1]
+		mid := (lo + hi + 1) / 2
+		s.outBufs[v] = out[lo:lo:hi]
+		s.inboxes[v] = in[lo:lo:mid]
+		s.inNext[v] = in[mid:mid:hi]
 	}
 }
 
@@ -254,7 +279,7 @@ func (n *Network) Run(handler Handler, start []int, maxRounds int64) error {
 		n.sc = &scratch{}
 	}
 	sc := n.sc
-	sc.ensure(g.N, g.M(), workers)
+	sc.ensure(g, workers)
 	// A worker-count change (n.Workers edited between Runs) retires the old
 	// pool; the next parallel round spawns one of the right size.
 	if n.pool != nil && n.pool.W != workers {
@@ -432,7 +457,11 @@ func (e *engine) runHandlers(w, W int) {
 	maxNode := ws.maxNode
 	for _, v := range sched[lo:hi] {
 		nodeStart := words
-		out, act := e.handler(v, sc.inboxes[v])
+		in := sc.inboxes[v]
+		if len(in) == 0 {
+			in = nil // no mail is a nil inbox (see Handler)
+		}
+		out, act := e.handler(v, in)
 		sc.inboxes[v] = sc.inboxes[v][:0]
 		if inline {
 			if act {

@@ -147,6 +147,7 @@ func Boruvka(net *congest.Network, bfsRoot int) ([]int, error) {
 	uf := newUnionFind(g.N) // root-local bookkeeping (lives at the BFS root)
 	chosen := make(map[int]bool)
 	remaining := g.N
+	var prim primitives.Scratch // broadcast node state, kept across phases
 
 	for phase := 0; remaining > 1; phase++ {
 		if phase > 2*g.N {
@@ -197,7 +198,7 @@ func Boruvka(net *congest.Network, bfsRoot int) ([]int, error) {
 				items = append(items, primitives.Item{1, congest.Word(c), congest.Word(uf.find(c))})
 			}
 		}
-		recv, err := primitives.Broadcast(net, rt, items)
+		recv, err := primitives.Broadcast(net, rt, &prim, items)
 		if err != nil {
 			return nil, err
 		}

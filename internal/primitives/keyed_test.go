@@ -22,6 +22,20 @@ func toKeyedValues(perNode []map[congest.Word]congest.Word) []KeyedValues {
 	return out
 }
 
+// tableMap copies a KeyedSumOrdered table into a map, checking that its
+// keys ascend.
+func tableMap(t *testing.T, tab KeyedValues) map[congest.Word]congest.Word {
+	t.Helper()
+	m := make(map[congest.Word]congest.Word, len(tab.Keys))
+	for i, k := range tab.Keys {
+		if i > 0 && tab.Keys[i-1] >= k {
+			t.Fatalf("table keys not ascending: %v", tab.Keys)
+		}
+		m[k] = tab.Vals[i]
+	}
+	return m
+}
+
 func TestKeyedSumOrderedExact(t *testing.T) {
 	for _, n := range []int{2, 5, 30, 80} {
 		net, rt := testNet(t, int64(n), n)
@@ -40,10 +54,11 @@ func TestKeyedSumOrderedExact(t *testing.T) {
 			}
 		}
 		sum := func(a, b congest.Word) congest.Word { return a + b }
-		got, err := KeyedSumOrdered(net, rt, toKeyedValues(perNode), sum)
+		tab, err := KeyedSumOrdered(net, rt, new(Scratch), toKeyedValues(perNode), sum)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := tableMap(t, tab)
 		if len(got) != len(want) {
 			t.Fatalf("n=%d: got %d keys, want %d", n, len(got), len(want))
 		}
@@ -74,10 +89,11 @@ func TestKeyedSumOrderedPipelines(t *testing.T) {
 	}
 	base := net.Stats().SimulatedRounds
 	sum := func(a, b congest.Word) congest.Word { return a + b }
-	got, err := KeyedSumOrdered(net, rt, toKeyedValues(perNode), sum)
+	tab, err := KeyedSumOrdered(net, rt, new(Scratch), toKeyedValues(perNode), sum)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := tableMap(t, tab)
 	rounds := net.Stats().SimulatedRounds - base
 	if rounds > int64(3*n+6*K+20) {
 		t.Fatalf("keyed sum took %d rounds on path %d with %d keys", rounds, n, K)
@@ -91,9 +107,10 @@ func TestKeyedSumOrderedPipelines(t *testing.T) {
 	}
 }
 
-// TestKeyedSumOrderedHandsBackArrays reuses one perNode across calls, the
-// way segments.Aggregator does: every call must leave each entry empty,
-// and a refilled input must give the same table at the same cost.
+// TestKeyedSumOrderedHandsBackArrays reuses one perNode and one Scratch
+// across calls, the way segments.Aggregator does: every call must leave
+// each entry empty, and a refilled input must give the same table at the
+// same cost.
 func TestKeyedSumOrderedHandsBackArrays(t *testing.T) {
 	const n = 60
 	net, rt := testNet(t, 5, n)
@@ -107,6 +124,7 @@ func TestKeyedSumOrderedHandsBackArrays(t *testing.T) {
 	}
 	sum := func(a, b congest.Word) congest.Word { return a + b }
 	perNode := make([]KeyedValues, n)
+	var sc Scratch
 	var first map[congest.Word]congest.Word
 	var firstCost congest.Stats
 	for call := 0; call < 3; call++ {
@@ -117,10 +135,11 @@ func TestKeyedSumOrderedHandsBackArrays(t *testing.T) {
 			}
 		}
 		before := net.Stats()
-		got, err := KeyedSumOrdered(net, rt, perNode, sum)
+		tab, err := KeyedSumOrdered(net, rt, &sc, perNode, sum)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := tableMap(t, tab)
 		after := net.Stats()
 		cost := congest.Stats{
 			SimulatedRounds: after.SimulatedRounds - before.SimulatedRounds,

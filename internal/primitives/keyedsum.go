@@ -3,6 +3,7 @@ package primitives
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"twoecss/internal/congest"
 	"twoecss/internal/tree"
@@ -50,135 +51,146 @@ func searchDesc(keys []congest.Word, k congest.Word) (int, bool) {
 	return lo, lo < len(keys) && keys[lo] == k
 }
 
+const (
+	doneTag    = math.MaxInt64 // a child's last message: it has finished
+	unreported = math.MinInt64 // progress of a child that has not reported
+)
+
 // KeyedSumOrdered convergecasts per-key values to the root with exact-once
 // combining, supporting non-idempotent operators (sum, xor, float-sum).
 // Every participant streams its keys in increasing order; a vertex emits key
 // k upward only once each child has either finished or progressed past k,
 // so each subtree contributes to each key exactly once. This is the
 // pipelined aggregate convergecast the paper invokes for per-highway
-// aggregation (Section 4.2.3).
+// aggregation (Section 4.2.3). It returns the combined table in ascending
+// key order, valid until the next KeyedSumOrdered call with sc.
 // Rounds: O(height + #keys).
 //
-// Node state is flat: per-vertex (key, value) parallel slices sorted by
-// descending key, so the next key to stream is popped from the tail and
-// the freed capacity takes later inserts; one global progress array
-// indexed by child vertex; and double-buffered two-word payloads. A round
-// allocates only when a key list outgrows every earlier call's capacity.
-func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, perNode []KeyedValues, op Combine) (map[congest.Word]congest.Word, error) {
+// Node state is flat: each vertex's perNode lists, sorted by descending
+// key, so the next key to stream is popped from the tail and the freed
+// capacity takes later inserts; one progress array indexed by child
+// vertex; and double-buffered two-word payloads. A round allocates only
+// when a key list outgrows every earlier call's capacity.
+func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode []KeyedValues, op Combine) (KeyedValues, error) {
 	g := net.G
 	if len(perNode) != g.N {
-		return nil, fmt.Errorf("primitives: perNode length %d != n", len(perNode))
+		return KeyedValues{}, fmt.Errorf("primitives: perNode length %d != n", len(perNode))
 	}
-	const doneTag = math.MaxInt64
-	const unreported = math.MinInt64
-
-	keys := make([][]congest.Word, g.N) // pending keys, sorted descending
-	vals := make([][]congest.Word, g.N) // vals[v][i] pairs with keys[v][i]
-	// progress[u] is the last key child u streamed to its parent
-	// (unreported before u's first message, doneTag when u finished).
-	progress := make([]congest.Word, g.N)
-	sentDone := make([]bool, g.N)
-	// payload[4v:4v+4] holds v's double-buffered two-word payload: a
-	// receiver reads a payload in the round after it was filled, in which
-	// round v may fill the other half (see DESIGN.md on payload recycling).
-	payload := make([]congest.Word, 4*g.N)
-	parity := make([]bool, g.N)
-
 	total := 0
 	for v := range perNode {
 		kv := &perNode[v]
 		if len(kv.Keys) != len(kv.Vals) {
-			return nil, fmt.Errorf("primitives: vertex %d has %d keys but %d values", v, len(kv.Keys), len(kv.Vals))
+			return KeyedValues{}, fmt.Errorf("primitives: vertex %d has %d keys but %d values", v, len(kv.Keys), len(kv.Vals))
 		}
 		kv.sortDesc()
-		keys[v] = kv.Keys
-		vals[v] = kv.Vals
-		progress[v] = unreported
 		total += len(kv.Keys)
 	}
-
-	// childFloor returns the smallest progress over v's children
-	// (doneTag if v has no children or all are done; unreported if any
-	// child has not reported at all).
-	childFloor := func(v int) congest.Word {
-		floor := congest.Word(doneTag)
-		for _, c := range t.Children[v] {
-			if progress[c] < floor {
-				floor = progress[c]
-			}
-		}
-		return floor
+	sc.bind(net, t)
+	sc.kv, sc.op = perNode, op
+	sc.progress = sized(sc.progress, g.N)
+	for v := range sc.progress {
+		sc.progress[v] = unreported
 	}
+	sc.sentDone = sized(sc.sentDone, g.N)
+	sc.parity = sized(sc.parity, g.N)
+	clear(sc.sentDone)
+	clear(sc.parity)
+	sc.payload = sized(sc.payload, 4*g.N)
 
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
-		for _, m := range inbox {
-			from := m.From
-			k := m.Data[0]
-			if k == doneTag {
-				progress[from] = doneTag
-				continue
-			}
-			val := m.Data[1]
-			// Insert in sorted position (arrivals are ordered per child,
-			// but interleave across children), combining equal keys.
-			i, found := searchDesc(keys[v], k)
-			if found {
-				vals[v][i] = op(vals[v][i], val)
-			} else {
-				keys[v] = append(keys[v], 0)
-				vals[v] = append(vals[v], 0)
-				copy(keys[v][i+1:], keys[v][i:])
-				copy(vals[v][i+1:], vals[v][i:])
-				keys[v][i], vals[v][i] = k, val
-			}
-			progress[from] = k
-		}
-		if t.ParentEdge[v] < 0 || sentDone[v] {
-			return nil, false
-		}
-		floor := childFloor(v)
-		if last := len(keys[v]) - 1; last >= 0 {
-			k := keys[v][last]
-			if k <= floor {
-				val := vals[v][last]
-				keys[v] = keys[v][:last]
-				vals[v] = vals[v][:last]
-				buf := payload[4*v : 4*v+2 : 4*v+2]
-				if parity[v] {
-					buf = payload[4*v+2 : 4*v+4 : 4*v+4]
-				}
-				parity[v] = !parity[v]
-				buf[0], buf[1] = k, val
-				out := append(net.OutBuf(v), congest.Msg{EdgeID: t.ParentEdge[v], From: v, Data: buf})
-				return out, true
-			}
-			return nil, true // wait for children to progress past k
-		}
-		if floor == doneTag {
-			sentDone[v] = true
-			buf := payload[4*v : 4*v+1 : 4*v+1]
-			if parity[v] {
-				buf = payload[4*v+2 : 4*v+3 : 4*v+3]
-			}
-			parity[v] = !parity[v]
-			buf[0] = doneTag
-			out := append(net.OutBuf(v), congest.Msg{EdgeID: t.ParentEdge[v], From: v, Data: buf})
-			return out, false
-		}
-		return nil, true
-	}
-	err := net.Run(handler, nil, maxRoundsFor(g, 4*total))
-	var table map[congest.Word]congest.Word
+	// A vertex with children waits for their first reports, so only the
+	// leaves can act in the first round.
+	err := net.Run(sc.keyed, sc.leaves(t), maxRoundsFor(g, 4*total))
+	sc.kv, sc.op = nil, nil
+	// The root never streams; its remaining lists, read from the tail,
+	// are the combined table in ascending key order.
+	tab := &sc.table
+	tab.Keys, tab.Vals = tab.Keys[:0], tab.Vals[:0]
 	if err == nil {
-		// The root never streams; its remaining (key, value) lists are
-		// the full combined table.
-		table = make(map[congest.Word]congest.Word, len(keys[t.Root]))
-		for i, k := range keys[t.Root] {
-			table[k] = vals[t.Root][i]
+		root := &perNode[t.Root]
+		for i := len(root.Keys) - 1; i >= 0; i-- {
+			tab.Keys = append(tab.Keys, root.Keys[i])
+			tab.Vals = append(tab.Vals, root.Vals[i])
 		}
 	}
 	for v := range perNode {
-		perNode[v] = KeyedValues{Keys: keys[v][:0], Vals: vals[v][:0]}
+		kv := &perNode[v]
+		kv.Keys, kv.Vals = kv.Keys[:0], kv.Vals[:0]
 	}
-	return table, err
+	if err != nil {
+		return KeyedValues{}, err
+	}
+	return *tab, nil
+}
+
+// childFloor returns the smallest progress over v's children (doneTag if
+// v has no children or all are done; unreported if any child has not
+// reported at all).
+func (sc *Scratch) childFloor(v int) congest.Word {
+	floor := congest.Word(doneTag)
+	for _, c := range sc.t.Children[v] {
+		if p := sc.progress[c]; p < floor {
+			floor = p
+		}
+	}
+	return floor
+}
+
+// keyedStep merges v's mail into its sorted lists, then streams the
+// smallest key once no child can still send a smaller one, or the done
+// marker once v and all its children are drained. Only mail raises the
+// children's floor, so v stays active only if its next step can run
+// without mail; otherwise its children's next message wakes it.
+func (sc *Scratch) keyedStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	kv := &sc.kv[v]
+	for _, m := range inbox {
+		k := m.Data[0]
+		if k == doneTag {
+			sc.progress[m.From] = doneTag
+			continue
+		}
+		val := m.Data[1]
+		// Insert in sorted position (arrivals are ordered per child,
+		// but interleave across children), combining equal keys.
+		i, found := searchDesc(kv.Keys, k)
+		if found {
+			kv.Vals[i] = sc.op(kv.Vals[i], val)
+		} else {
+			kv.Keys = slices.Insert(kv.Keys, i, k)
+			kv.Vals = slices.Insert(kv.Vals, i, val)
+		}
+		sc.progress[m.From] = k
+	}
+	pe := sc.t.ParentEdge[v]
+	if pe < 0 || sc.sentDone[v] {
+		return nil, false
+	}
+	floor := sc.childFloor(v)
+	// payload[4v:4v+4] double-buffers v's payload: a receiver reads a
+	// payload in the round after it was filled, in which round v may fill
+	// the other half (see DESIGN.md on payload recycling).
+	buf := sc.payload[4*v : 4*v+2 : 4*v+2]
+	if sc.parity[v] {
+		buf = sc.payload[4*v+2 : 4*v+4 : 4*v+4]
+	}
+	last := len(kv.Keys) - 1
+	switch {
+	case last >= 0 && kv.Keys[last] <= floor:
+		buf[0], buf[1] = kv.Keys[last], kv.Vals[last]
+		kv.Keys, kv.Vals = kv.Keys[:last], kv.Vals[:last]
+	case last < 0 && floor == doneTag:
+		sc.sentDone[v] = true
+		buf = buf[:1]
+		buf[0] = doneTag
+	default:
+		return nil, false // wait for the children to progress past the key
+	}
+	sc.parity[v] = !sc.parity[v]
+	out := append(sc.net.OutBuf(v), congest.Msg{EdgeID: pe, From: v, Data: buf})
+	if sc.sentDone[v] {
+		return out, false
+	}
+	if last--; last >= 0 {
+		return out, kv.Keys[last] <= floor
+	}
+	return out, floor == doneTag
 }

@@ -12,6 +12,7 @@ package primitives
 
 import (
 	"fmt"
+	"slices"
 
 	"twoecss/internal/congest"
 	"twoecss/internal/graph"
@@ -80,59 +81,160 @@ var exploreData = []congest.Word{1}
 type Item []congest.Word
 
 // The primitives read their node-local tree view (parent edge, child
-// edges) straight from the *tree.Rooted: the edge to child c is
-// t.ParentEdge[c], so no per-call adjacency copy is needed. This models
-// the same node-local knowledge (each vertex knows its incident tree
-// edges after tree construction) without the O(n) localView allocation
-// the seed paid on every primitive call.
+// edges) straight from the *tree.Rooted, which models the same node-local
+// knowledge (each vertex knows its incident tree edges after tree
+// construction) without a per-call adjacency copy.
 
 // appendChildMsgs appends one message per child edge of v carrying data.
 func appendChildMsgs(out []congest.Msg, t *tree.Rooted, v int, data []congest.Word) []congest.Msg {
-	for _, c := range t.Children[v] {
-		out = append(out, congest.Msg{EdgeID: t.ParentEdge[c], From: v, Data: data})
+	for _, id := range t.ChildEdges[v] {
+		out = append(out, congest.Msg{EdgeID: id, From: v, Data: data})
 	}
 	return out
+}
+
+// Scratch is the node state of Gather, Broadcast, KeyedSumOrdered,
+// SubtreeAggregate and the primitives built on them, kept across calls:
+// a caller that runs many aggregations over one (network, tree) pair owns
+// one Scratch for that pair's lifetime and allocates the O(n) state once.
+// The zero value is ready to use and grows to the largest network it has
+// served. A Scratch is not safe for concurrent use, like the Network it
+// runs on. Results the primitives return never alias it, except the table
+// KeyedSumOrdered returns, which is valid until its next call.
+//
+// The handlers are methods bound once per Scratch and read the running
+// call's inputs from it, so a call allocates no closure. Each run starts
+// only at the nodes that can act without mail, and a handler stays active
+// only while it can act again without mail: a node waiting for its
+// children is woken by their messages.
+type Scratch struct {
+	// The running call's inputs.
+	net   *congest.Network
+	t     *tree.Rooted
+	op    Combine
+	kv    []KeyedValues
+	items []Item
+	start []int
+
+	// KeyedSumOrdered: progress[u] is the last key child u streamed to its
+	// parent (unreported before u's first message, doneTag when u
+	// finished); payload[4v:4v+4] is v's double-buffered two-word payload,
+	// parity[v] the half it fills next.
+	progress []congest.Word
+	sentDone []bool
+	payload  []congest.Word
+	parity   []bool
+	table    KeyedValues
+	// Broadcast: items received and forwarded per vertex.
+	rcvd, fwd []int32
+	// Gather: per-vertex item queues (head[v] is the next to send) and the
+	// items collected at the root.
+	queue     [][]Item
+	head      []int32
+	collected []Item
+	// SubtreeAggregate: running aggregate and children still to report.
+	acc    []congest.Word
+	needed []int32
+	// GlobalAggregate: the one item the root broadcasts.
+	total [1]Item
+
+	keyed, gather, broadcast, subtree congest.Handler
+}
+
+// bind records the running call's network and tree and binds the handlers
+// on first use.
+func (sc *Scratch) bind(net *congest.Network, t *tree.Rooted) {
+	sc.net, sc.t = net, t
+	if sc.keyed == nil {
+		sc.keyed, sc.gather = sc.keyedStep, sc.gatherStep
+		sc.broadcast, sc.subtree = sc.broadcastStep, sc.subtreeStep
+	}
+}
+
+// sized returns s with length n, reusing its backing array when it is
+// large enough. Callers reset the entries they read.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// leaves sets the start set to the leaves of t.
+func (sc *Scratch) leaves(t *tree.Rooted) []int {
+	sc.start = sc.start[:0]
+	for v, kids := range t.Children {
+		if len(kids) == 0 {
+			sc.start = append(sc.start, v)
+		}
+	}
+	return sc.start
 }
 
 // Gather moves every node's items to the root via a pipelined convergecast
 // without combining: one item per edge per round flows upward. It returns
 // the items received at the root (root's own items included), in arrival
 // order. Rounds: O(height + total items).
-func Gather(net *congest.Network, t *tree.Rooted, perNode [][]Item) ([]Item, error) {
+func Gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) ([]Item, error) {
+	collected, err := gather(net, t, sc, perNode)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(collected), nil
+}
+
+// gather runs Gather and returns the root's items in sc.collected.
+func gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) ([]Item, error) {
 	g := net.G
 	if len(perNode) != g.N {
 		return nil, fmt.Errorf("primitives: perNode length %d != n", len(perNode))
 	}
-	queue := make([][]Item, g.N)
-	for v := 0; v < g.N; v++ {
-		queue[v] = append(queue[v], perNode[v]...)
+	sc.bind(net, t)
+	if len(sc.queue) < g.N {
+		sc.queue = make([][]Item, g.N)
 	}
-	var collected []Item
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
-		for _, m := range inbox {
-			queue[v] = append(queue[v], Item(m.Data))
-		}
-		if v == t.Root {
-			collected = append(collected, queue[v]...)
-			queue[v] = queue[v][:0]
-			return nil, false
-		}
-		if len(queue[v]) == 0 {
-			return nil, false
-		}
-		it := queue[v][0]
-		queue[v] = queue[v][1:]
-		out := append(net.OutBuf(v), congest.Msg{EdgeID: t.ParentEdge[v], From: v, Data: it})
-		return out, len(queue[v]) > 0
-	}
+	sc.head = sized(sc.head, g.N)
+	sc.collected = sc.collected[:0]
+	// Only item holders can act before any mail arrives. With no items at
+	// all the root still runs, so the call costs its one round.
+	sc.start = sc.start[:0]
 	total := 0
-	for _, its := range perNode {
-		total += len(its)
+	for v, its := range perNode {
+		sc.queue[v] = append(sc.queue[v][:0], its...)
+		sc.head[v] = 0
+		if len(its) > 0 {
+			sc.start = append(sc.start, v)
+			total += len(its)
+		}
 	}
-	if err := net.Run(handler, nil, maxRoundsFor(g, total)); err != nil {
+	if len(sc.start) == 0 {
+		sc.start = append(sc.start, t.Root)
+	}
+	if err := net.Run(sc.gather, sc.start, maxRoundsFor(g, total)); err != nil {
 		return nil, err
 	}
-	return collected, nil
+	return sc.collected, nil
+}
+
+func (sc *Scratch) gatherStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	q, h := sc.queue[v], sc.head[v]
+	for _, m := range inbox {
+		q = append(q, Item(m.Data))
+	}
+	if v == sc.t.Root {
+		sc.collected = append(sc.collected, q[h:]...)
+		sc.queue[v], sc.head[v] = q[:0], 0
+		return nil, false
+	}
+	// A non-root vertex runs only with items queued: it holds some at
+	// the start, was just sent one, or stayed active for the rest.
+	it := q[h]
+	if h++; int(h) == len(q) {
+		q, h = q[:0], 0 // drained: refill from the front
+	}
+	sc.queue[v], sc.head[v] = q, h
+	out := append(sc.net.OutBuf(v), congest.Msg{EdgeID: sc.t.ParentEdge[v], From: v, Data: it})
+	return out, int(h) < len(q)
 }
 
 // Broadcast delivers the given items from the root to every vertex via a
@@ -143,71 +245,67 @@ func Gather(net *congest.Network, t *tree.Rooted, perNode [][]Item) ([]Item, err
 // items[0], items[1], ... — node state is therefore two counters per
 // vertex (received, forwarded) rather than per-vertex item queues, and the
 // returned per-vertex slices alias the caller's items (do not mutate).
-func Broadcast(net *congest.Network, t *tree.Rooted, items []Item) ([][]Item, error) {
-	received := make([][]Item, net.G.N)
-	rcvd, err := broadcastCounted(net, t, items)
-	if err != nil {
+func Broadcast(net *congest.Network, t *tree.Rooted, sc *Scratch, items []Item) ([][]Item, error) {
+	if err := BroadcastAll(net, t, sc, items); err != nil {
 		return nil, err
 	}
+	received := make([][]Item, net.G.N)
 	for v := range received {
-		received[v] = items[:rcvd[v]:rcvd[v]]
+		r := sc.rcvd[v]
+		received[v] = items[:r:r]
 	}
 	return received, nil
 }
 
-// broadcastCounted runs the downcast and returns the per-vertex count of
-// delivered items (len(items) everywhere on a spanning tree). Callers that
-// ignore the received lists (aggregate bills) use it to skip building them.
-func broadcastCounted(net *congest.Network, t *tree.Rooted, items []Item) ([]int32, error) {
+// BroadcastAll is Broadcast for callers that need only the communication
+// (and its round bill), not the per-vertex received lists.
+func BroadcastAll(net *congest.Network, t *tree.Rooted, sc *Scratch, items []Item) error {
 	g := net.G
-	rcvd := make([]int32, g.N)
-	fwd := make([]int32, g.N)
-	rcvd[t.Root] = int32(len(items))
+	sc.bind(net, t)
+	sc.items = items
+	sc.rcvd = sized(sc.rcvd, g.N)
+	sc.fwd = sized(sc.fwd, g.N)
+	clear(sc.rcvd)
+	clear(sc.fwd)
+	sc.rcvd[t.Root] = int32(len(items))
+	sc.start = append(sc.start[:0], t.Root)
+	err := net.Run(sc.broadcast, sc.start, maxRoundsFor(g, len(items)*2))
+	sc.items = nil
+	return err
+}
 
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
-		rcvd[v] += int32(len(inbox))
-		if fwd[v] == rcvd[v] || len(t.Children[v]) == 0 {
-			fwd[v] = rcvd[v]
-			return nil, false
-		}
-		it := items[fwd[v]]
-		fwd[v]++
-		out := appendChildMsgs(net.OutBuf(v), t, v, it)
-		return out, fwd[v] < rcvd[v]
+func (sc *Scratch) broadcastStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	rcvd := sc.rcvd[v] + int32(len(inbox))
+	sc.rcvd[v] = rcvd
+	if sc.fwd[v] == rcvd || len(sc.t.ChildEdges[v]) == 0 {
+		sc.fwd[v] = rcvd
+		return nil, false
 	}
-	if err := net.Run(handler, []int{t.Root}, maxRoundsFor(g, len(items)*2)); err != nil {
-		return nil, err
-	}
-	return rcvd, nil
+	it := sc.items[sc.fwd[v]]
+	sc.fwd[v]++
+	out := appendChildMsgs(sc.net.OutBuf(v), sc.t, v, it)
+	return out, sc.fwd[v] < rcvd
 }
 
 // GatherBroadcast gathers all items to the root and then broadcasts them so
 // that every vertex knows every item (the "all vertices learn X" pattern
 // used throughout Section 4). Rounds: O(height + total items).
-func GatherBroadcast(net *congest.Network, t *tree.Rooted, perNode [][]Item) ([][]Item, error) {
-	collected, err := Gather(net, t, perNode)
+func GatherBroadcast(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) ([][]Item, error) {
+	collected, err := Gather(net, t, sc, perNode)
 	if err != nil {
 		return nil, err
 	}
-	return Broadcast(net, t, collected)
+	return Broadcast(net, t, sc, collected)
 }
 
 // GatherBroadcastAll is GatherBroadcast for callers that need only the
 // communication (and its round bill), not the per-vertex received lists.
-func GatherBroadcastAll(net *congest.Network, t *tree.Rooted, perNode [][]Item) error {
-	collected, err := Gather(net, t, perNode)
+func GatherBroadcastAll(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) error {
+	collected, err := gather(net, t, sc, perNode)
 	if err != nil {
 		return err
 	}
-	_, err = broadcastCounted(net, t, collected)
-	return err
-}
-
-// BroadcastAll is Broadcast for callers that need only the communication,
-// not the per-vertex received lists.
-func BroadcastAll(net *congest.Network, t *tree.Rooted, items []Item) error {
-	_, err := broadcastCounted(net, t, items)
-	return err
+	return BroadcastAll(net, t, sc, collected)
 }
 
 // Combine is a binary aggregate operator on words (sum, min, max, xor, ...).
@@ -216,41 +314,50 @@ type Combine func(a, b congest.Word) congest.Word
 // SubtreeAggregate computes, for every vertex v, the aggregate of x over the
 // subtree of v (descendants' aggregate on the given tree). Internal nodes
 // wait for all children before reporting upward. Rounds: O(height).
-func SubtreeAggregate(net *congest.Network, t *tree.Rooted, x []congest.Word, op Combine) ([]congest.Word, error) {
+func SubtreeAggregate(net *congest.Network, t *tree.Rooted, sc *Scratch, x []congest.Word, op Combine) ([]congest.Word, error) {
+	acc, err := subtreeAggregate(net, t, sc, x, op)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(acc), nil
+}
+
+// subtreeAggregate runs SubtreeAggregate and returns the aggregates in
+// sc.acc.
+func subtreeAggregate(net *congest.Network, t *tree.Rooted, sc *Scratch, x []congest.Word, op Combine) ([]congest.Word, error) {
 	g := net.G
 	if len(x) != g.N {
 		return nil, fmt.Errorf("primitives: input length %d != n", len(x))
 	}
-	acc := append([]congest.Word(nil), x...)
-	needed := make([]int, g.N)
-	for v := 0; v < g.N; v++ {
-		needed[v] = len(t.Children[v])
+	sc.bind(net, t)
+	sc.op = op
+	sc.acc = append(sc.acc[:0], x...)
+	sc.needed = sized(sc.needed, g.N)
+	for v, kids := range t.Children {
+		sc.needed[v] = int32(len(kids))
 	}
-	reported := make([]bool, g.N)
-	// Each node sends its aggregate exactly once per run, so one shared
-	// backing array provides every node's one-word payload without
-	// per-message allocation.
-	sendBuf := make([]congest.Word, g.N)
-
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
-		for _, m := range inbox {
-			acc[v] = op(acc[v], m.Data[0])
-			needed[v]--
-		}
-		if needed[v] == 0 && !reported[v] {
-			reported[v] = true
-			if t.ParentEdge[v] >= 0 {
-				sendBuf[v] = acc[v]
-				msg := congest.Msg{EdgeID: t.ParentEdge[v], From: v, Data: sendBuf[v : v+1 : v+1]}
-				return append(net.OutBuf(v), msg), false
-			}
-		}
-		return nil, false
-	}
-	if err := net.Run(handler, nil, maxRoundsFor(g, 0)); err != nil {
+	err := net.Run(sc.subtree, sc.leaves(t), maxRoundsFor(g, 0))
+	sc.op = nil
+	if err != nil {
 		return nil, err
 	}
-	return acc, nil
+	return sc.acc, nil
+}
+
+// subtreeStep reports v's aggregate once its last child has. A vertex
+// reports exactly once and receives nothing afterwards, so acc[v] itself
+// is the payload: it stays unchanged until the parent reads it.
+func (sc *Scratch) subtreeStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	for _, m := range inbox {
+		sc.acc[v] = sc.op(sc.acc[v], m.Data[0])
+		sc.needed[v]--
+	}
+	pe := sc.t.ParentEdge[v]
+	if sc.needed[v] != 0 || pe < 0 {
+		return nil, false
+	}
+	msg := congest.Msg{EdgeID: pe, From: v, Data: sc.acc[v : v+1 : v+1]}
+	return append(sc.net.OutBuf(v), msg), false
 }
 
 // RootPathAggregate computes, for every vertex v, the aggregate of x over
@@ -292,14 +399,15 @@ func RootPathAggregate(net *congest.Network, t *tree.Rooted, x []congest.Word, o
 // all vertices (convergecast to the root followed by a broadcast). Used for
 // global termination tests such as "is any tree edge of layer k still
 // uncovered". Rounds: O(height).
-func GlobalAggregate(net *congest.Network, t *tree.Rooted, x []congest.Word, op Combine) (congest.Word, error) {
-	up, err := SubtreeAggregate(net, t, x, op)
+func GlobalAggregate(net *congest.Network, t *tree.Rooted, sc *Scratch, x []congest.Word, op Combine) (congest.Word, error) {
+	up, err := subtreeAggregate(net, t, sc, x, op)
 	if err != nil {
 		return 0, err
 	}
-	total := up[t.Root]
-	if _, err := broadcastCounted(net, t, []Item{{total}}); err != nil {
+	// The root broadcasts the total as one one-word item read from acc.
+	sc.total[0] = up[t.Root : t.Root+1 : t.Root+1]
+	if err := BroadcastAll(net, t, sc, sc.total[:]); err != nil {
 		return 0, err
 	}
-	return total, nil
+	return up[t.Root], nil
 }

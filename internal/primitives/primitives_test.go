@@ -65,7 +65,7 @@ func TestGatherCollectsEverything(t *testing.T) {
 			want[congest.Word(v)] = true
 		}
 	}
-	got, err := Gather(net, rt, perNode)
+	got, err := Gather(net, rt, new(Scratch), perNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestGatherCollectsEverything(t *testing.T) {
 func TestBroadcastReachesAll(t *testing.T) {
 	net, rt := testNet(t, 6, 35)
 	items := []Item{{1, 2}, {3, 4}, {5, 6}}
-	recv, err := Broadcast(net, rt, items)
+	recv, err := Broadcast(net, rt, new(Scratch), items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBroadcastPipelines(t *testing.T) {
 	for i := range items {
 		items[i] = Item{congest.Word(i)}
 	}
-	if _, err := Broadcast(net, rt, items); err != nil {
+	if _, err := Broadcast(net, rt, new(Scratch), items); err != nil {
 		t.Fatal(err)
 	}
 	rounds := net.Stats().SimulatedRounds - base
@@ -129,7 +129,7 @@ func TestGatherBroadcast(t *testing.T) {
 	perNode := make([][]Item, 30)
 	perNode[3] = []Item{{42}}
 	perNode[17] = []Item{{99}}
-	all, err := GatherBroadcast(net, rt, perNode)
+	all, err := GatherBroadcast(net, rt, new(Scratch), perNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSubtreeAggregateSum(t *testing.T) {
 		x[v] = congest.Word(v + 1)
 	}
 	sum := func(a, b congest.Word) congest.Word { return a + b }
-	got, err := SubtreeAggregate(net, rt, x, sum)
+	got, err := SubtreeAggregate(net, rt, new(Scratch), x, sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestGlobalAggregateMax(t *testing.T) {
 		}
 		return b
 	}
-	got, err := GlobalAggregate(net, rt, x, max)
+	got, err := GlobalAggregate(net, rt, new(Scratch), x, max)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,10 +222,10 @@ func TestGlobalAggregateMax(t *testing.T) {
 
 func TestGatherLengthValidation(t *testing.T) {
 	net, rt := testNet(t, 11, 10)
-	if _, err := Gather(net, rt, make([][]Item, 3)); err == nil {
+	if _, err := Gather(net, rt, new(Scratch), make([][]Item, 3)); err == nil {
 		t.Fatal("short perNode accepted")
 	}
-	if _, err := SubtreeAggregate(net, rt, make([]congest.Word, 3), func(a, b congest.Word) congest.Word { return a + b }); err == nil {
+	if _, err := SubtreeAggregate(net, rt, new(Scratch), make([]congest.Word, 3), func(a, b congest.Word) congest.Word { return a + b }); err == nil {
 		t.Fatal("short input accepted")
 	}
 }
@@ -236,7 +236,7 @@ func TestBandwidthCompliance(t *testing.T) {
 	for v := range perNode {
 		perNode[v] = []Item{{congest.Word(v), 1, 2, 3}}
 	}
-	if _, err := GatherBroadcast(net, rt, perNode); err != nil {
+	if _, err := GatherBroadcast(net, rt, new(Scratch), perNode); err != nil {
 		t.Fatal(err)
 	}
 	if net.Stats().MaxEdgeWords > net.WordsPerEdge {

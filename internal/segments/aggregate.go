@@ -39,10 +39,12 @@ type Aggregator struct {
 
 	// Scratch reused across aggregate calls (an Aggregator is not safe for
 	// concurrent use, matching the one-Network-one-run engine contract):
-	// per-tree-edge values for Claim 4.5, per-virtual-edge contributions
-	// for Claim 4.6, per-vertex keyed inputs for the Claim 4.6
-	// convergecast, per-vertex item lists for the Claim 4.5
-	// gather-broadcast, and the flat payload backing for per-segment items.
+	// the primitives' node state, per-tree-edge values for Claim 4.5,
+	// per-virtual-edge contributions for Claim 4.6, per-vertex keyed
+	// inputs for the Claim 4.6 convergecast, per-vertex item lists for the
+	// Claim 4.5 gather-broadcast, and the flat payload backing for
+	// per-segment items.
+	prim     primitives.Scratch
 	treeVals []congest.Word
 	veVals   []congest.Word
 	veOK     []bool
@@ -146,7 +148,7 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 		a.appendItem(congest.Word(seg.ID), m)
 		a.perNode[seg.Desc] = append(a.perNode[seg.Desc], a.itemList[len(a.itemList)-1])
 	}
-	if err := primitives.GatherBroadcastAll(a.Net, a.BFS, a.perNode); err != nil {
+	if err := primitives.GatherBroadcastAll(a.Net, a.BFS, &a.prim, a.perNode); err != nil {
 		return nil, fmt.Errorf("segments: claim 4.5 global step: %w", err)
 	}
 	out := make([]congest.Word, len(a.VG.VEdges))
@@ -209,20 +211,20 @@ func (a *Aggregator) PerTreeEdge(contribute func(ve int) (congest.Word, bool), o
 			}
 		}
 	}
-	table, err := primitives.KeyedSumOrdered(a.Net, a.BFS, a.kv, op)
+	table, err := primitives.KeyedSumOrdered(a.Net, a.BFS, &a.prim, a.kv, op)
 	if err != nil {
 		return nil, fmt.Errorf("segments: claim 4.6 convergecast: %w", err)
 	}
+	// The table's keys are segment ids in ascending order, the order of
+	// D.Segs.
 	a.itemsInto()
 	if cap(a.itemBuf) < 2*len(a.D.Segs) {
 		a.itemBuf = make([]congest.Word, 0, 2*len(a.D.Segs))
 	}
-	for _, seg := range a.D.Segs {
-		if val, ok := table[congest.Word(seg.ID)]; ok {
-			a.appendItem(congest.Word(seg.ID), val)
-		}
+	for i, k := range table.Keys {
+		a.appendItem(k, table.Vals[i])
 	}
-	if err := primitives.BroadcastAll(a.Net, a.BFS, a.itemList); err != nil {
+	if err := primitives.BroadcastAll(a.Net, a.BFS, &a.prim, a.itemList); err != nil {
 		return nil, fmt.Errorf("segments: claim 4.6 broadcast: %w", err)
 	}
 

@@ -388,3 +388,33 @@ func TestDecompositionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAggregatorSteadyStateAllocs repeats both aggregates on one network:
+// once warm, each call allocates only the slice it returns, because the
+// primitives' node state lives in the Aggregator's Scratch and the engine
+// recycles its buffers.
+func TestAggregatorSteadyStateAllocs(t *testing.T) {
+	a, vg, _ := buildAggregator(t, 15, 120, 160)
+	a.Net.Workers = 1
+	value := func(c int) congest.Word { return congest.Word(c) }
+	contribute := func(ve int) (congest.Word, bool) { return congest.Word(vg.VEdges[ve].W), ve%4 != 0 }
+	sum := func(x, y congest.Word) congest.Word { return x + y }
+	perVEdge := func() {
+		if _, err := a.PerVEdge(value, sum, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perTreeEdge := func() {
+		if _, err := a.PerTreeEdge(contribute, sum, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perVEdge()
+	perTreeEdge()
+	if allocs := testing.AllocsPerRun(10, perVEdge); allocs != 1 {
+		t.Errorf("PerVEdge allocated %.1f objects per call, want 1 (its result)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(10, perTreeEdge); allocs != 1 {
+		t.Errorf("PerTreeEdge allocated %.1f objects per call, want 1 (its result)", allocs)
+	}
+}

@@ -80,6 +80,7 @@ type Solver struct {
 	coverSets [][]int // per non-tree edge position: covered tree children
 	nonTree   []int
 	weights   []int64
+	prim      primitives.Scratch // node state of the goodness test's global sums
 }
 
 // NewSolver prepares a solver over the network graph and spanning tree t,
@@ -313,7 +314,7 @@ func (s *Solver) commit(sample []int, marked, chosen []bool, res *Result) int {
 func (s *Solver) billGoodness() error {
 	x := make([]congest.Word, s.BFS.G.N)
 	sum := func(a, b congest.Word) congest.Word { return a + b }
-	_, err := primitives.GlobalAggregate(s.Net, s.BFS, x, sum)
+	_, err := primitives.GlobalAggregate(s.Net, s.BFS, &s.prim, x, sum)
 	return err
 }
 

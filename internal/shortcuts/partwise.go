@@ -229,12 +229,27 @@ const (
 // G[V_p]+H_p) and delivers the result to all members, simultaneously for
 // all parts; see PartwiseAggregate for the contract.
 func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word, error) {
+	if err := pl.simulate(net, x, op); err != nil {
+		return nil, err
+	}
+	out := make([]Word, pl.g.N)
+	for v, p := range pl.part.Of {
+		if p >= 0 {
+			out[v] = pl.result[pl.roleOf(int32(v), int32(p))]
+		}
+	}
+	return out, nil
+}
+
+// simulate runs one aggregation and checks that every member vertex
+// learned its part's result, which is left in pl.result by role.
+func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 	g := pl.g
 	if net.G != g {
-		return nil, fmt.Errorf("shortcuts: aggregate plan built for a different graph")
+		return fmt.Errorf("shortcuts: aggregate plan built for a different graph")
 	}
 	if len(x) != g.N {
-		return nil, fmt.Errorf("shortcuts: input length %d != n", len(x))
+		return fmt.Errorf("shortcuts: input length %d != n", len(x))
 	}
 	part := pl.part
 
@@ -315,29 +330,27 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 			}
 		}
 		pl.liveN[v] = int32(len(kept))
-		return out, len(kept) > 0 || len(out) > 0
+		// Transitions happen only on mail, so without mail v has work next
+		// round only if a queue still holds payloads.
+		return out, len(kept) > 0
 	}
 	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.rolePart) + 64)
 	if err := net.Run(handler, nil, maxRounds); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]Word, g.N)
 	missing := 0
-	for v := 0; v < g.N; v++ {
-		if part.Of[v] < 0 {
+	for v, p := range part.Of {
+		if p < 0 {
 			continue
 		}
-		ri := pl.roleOf(int32(v), int32(part.Of[v]))
-		if ri < 0 || !pl.haveResult[ri] {
+		if ri := pl.roleOf(int32(v), int32(p)); ri < 0 || !pl.haveResult[ri] {
 			missing++
-			continue
 		}
-		out[v] = pl.result[ri]
 	}
 	if missing > 0 {
-		return nil, fmt.Errorf("shortcuts: %d vertices missed their part aggregate", missing)
+		return fmt.Errorf("shortcuts: %d vertices missed their part aggregate", missing)
 	}
-	return out, nil
+	return nil
 }
 
 // PartwiseAggregate combines one value per member vertex within every part

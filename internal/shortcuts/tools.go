@@ -155,7 +155,8 @@ func (tl *Tools) billLevels(payload []Word) (int, error) {
 		if err := tl.Net.Charge(ls.sc.BuildRounds, "shortcut construction (gamma)"); err != nil {
 			return 0, err
 		}
-		if _, err := ls.plan.Aggregate(tl.Net, payload, or); err != nil {
+		// The bill needs the messages, not the per-vertex results.
+		if err := ls.plan.simulate(tl.Net, payload, or); err != nil {
 			return 0, err
 		}
 		if q := ls.sc.Quality(); q > maxQ {
@@ -285,8 +286,10 @@ func (tl *Tools) CoverCount(marked []bool) ([]int, error) {
 		return nil, err
 	}
 	out := make([]int, g.M())
-	for _, id := range t.NonTreeEdgeIDs() {
-		e := g.Edges[id]
+	for id, e := range g.Edges {
+		if t.IsTreeEdge(id) {
+			continue
+		}
 		w := t.LCA(e.U, e.V)
 		out[id] = int(m[e.U] + m[e.V] - 2*m[w])
 	}

@@ -169,7 +169,7 @@ func (s *Solver) runForward(eps float64) (*forwardState, error) {
 				}
 				return 0
 			}
-			left, err := primitives.GlobalAggregate(s.Net, s.BFS, pending, or)
+			left, err := primitives.GlobalAggregate(s.Net, s.BFS, &s.prim, pending, or)
 			if err != nil {
 				return nil, err
 			}

@@ -129,7 +129,7 @@ func (s *Solver) globalEmpty(set []bool) (bool, error) {
 		}
 		return 0
 	}
-	got, err := primitives.GlobalAggregate(s.Net, s.BFS, x, or)
+	got, err := primitives.GlobalAggregate(s.Net, s.BFS, &s.prim, x, or)
 	if err != nil {
 		return false, err
 	}
@@ -176,7 +176,7 @@ func (s *Solver) globalCandidates(layer int, htilde []bool, pet map[int]layering
 			})
 		}
 	}
-	if err := primitives.GatherBroadcastAll(s.Net, s.BFS, perNode); err != nil {
+	if err := primitives.GatherBroadcastAll(s.Net, s.BFS, &s.prim, perNode); err != nil {
 		return nil, err
 	}
 	slices.Sort(tprime)
@@ -328,7 +328,7 @@ func (s *Solver) cleaning(k int, fs *forwardState, anchors []anchor, inY []bool)
 		dec := s.VG.VEdges[ve].Dec
 		perNode[dec] = append(perNode[dec], primitives.Item{congest.Word(ve)})
 	}
-	if err := primitives.GatherBroadcastAll(s.Net, s.BFS, perNode); err != nil {
+	if err := primitives.GatherBroadcastAll(s.Net, s.BFS, &s.prim, perNode); err != nil {
 		return err
 	}
 	return nil

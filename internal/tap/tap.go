@@ -31,6 +31,7 @@ import (
 
 	"twoecss/internal/congest"
 	"twoecss/internal/layering"
+	"twoecss/internal/primitives"
 	"twoecss/internal/segments"
 	"twoecss/internal/tree"
 	"twoecss/internal/vgraph"
@@ -79,6 +80,10 @@ type Solver struct {
 	Lay *layering.Layering
 	// Agg is the aggregate machinery.
 	Agg *segments.Aggregator
+
+	// prim is the node state of the solver's own global aggregates and
+	// gather-broadcasts over BFS, kept across calls.
+	prim primitives.Scratch
 }
 
 // NewSolver builds the solver substrate from a network and a spanning tree,

@@ -24,8 +24,11 @@ type Rooted struct {
 	Parent []int
 	// ParentEdge[v] is the id (in G) of the edge {v,Parent[v]} (-1 for root).
 	ParentEdge []int
-	// Children[v] lists the children of v in preorder-discovery order.
-	Children [][]int
+	// Children[v] lists the children of v in ascending order, and
+	// ChildEdges[v][i] is the id of the edge to Children[v][i]. Every list
+	// is a capped window of one backing array.
+	Children   [][]int
+	ChildEdges [][]int
 	// Depth[v] is the hop distance from the root.
 	Depth []int
 	// Tin/Tout are preorder entry/exit times: u is an ancestor of v
@@ -55,6 +58,7 @@ func NewFromParentEdges(g *graph.Graph, root int, parentEdge []int) (*Rooted, er
 		Parent:     make([]int, g.N),
 		ParentEdge: make([]int, g.N),
 		Children:   make([][]int, g.N),
+		ChildEdges: make([][]int, g.N),
 		Depth:      make([]int, g.N),
 		Tin:        make([]int, g.N),
 		Tout:       make([]int, g.N),
@@ -84,11 +88,7 @@ func NewFromParentEdges(g *graph.Graph, root int, parentEdge []int) (*Rooted, er
 	if cnt != g.N-1 {
 		return nil, ErrNotTree
 	}
-	for v := 0; v < g.N; v++ {
-		if p := t.Parent[v]; p >= 0 {
-			t.Children[p] = append(t.Children[p], v)
-		}
-	}
+	t.buildChildren()
 	if err := t.computeOrders(); err != nil {
 		return nil, err
 	}
@@ -147,6 +147,33 @@ func BFSTree(g *graph.Graph, root int) (*Rooted, error) {
 		}
 	}
 	return NewFromParentEdges(g, root, parentEdge)
+}
+
+// buildChildren fills Children and ChildEdges by a counting sort on the
+// parent: off[p] counts p's children, then becomes the start of p's window.
+func (t *Rooted) buildChildren() {
+	n := t.G.N
+	off := make([]int, n+1)
+	for _, p := range t.Parent {
+		if p >= 0 {
+			off[p+1]++
+		}
+	}
+	for p := 0; p < n; p++ {
+		off[p+1] += off[p]
+	}
+	kids := make([]int, off[n])
+	edges := make([]int, off[n])
+	for p := 0; p < n; p++ {
+		t.Children[p] = kids[off[p]:off[p]:off[p+1]]
+		t.ChildEdges[p] = edges[off[p]:off[p]:off[p+1]]
+	}
+	for v, p := range t.Parent {
+		if p >= 0 {
+			t.Children[p] = append(t.Children[p], v)
+			t.ChildEdges[p] = append(t.ChildEdges[p], t.ParentEdge[v])
+		}
+	}
 }
 
 func (t *Rooted) computeOrders() error {

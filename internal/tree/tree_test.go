@@ -215,9 +215,17 @@ func TestSubtreeSizesQuick(t *testing.T) {
 		n := 2 + rng.Intn(60)
 		_, rt := randTreeGraph(rng, n)
 		// Size[v] must equal 1 + sum of children sizes, and Size[root]==n.
+		// Children ascend, and ChildEdges[v][i] is Children[v][i]'s parent
+		// edge.
 		for v := 0; v < n; v++ {
 			s := 1
-			for _, c := range rt.Children[v] {
+			if len(rt.ChildEdges[v]) != len(rt.Children[v]) {
+				return false
+			}
+			for i, c := range rt.Children[v] {
+				if rt.Parent[c] != v || rt.ChildEdges[v][i] != rt.ParentEdge[c] || (i > 0 && rt.Children[v][i-1] >= c) {
+					return false
+				}
 				s += rt.Size[c]
 			}
 			if s != rt.Size[v] {
