@@ -18,12 +18,13 @@
 // With -store-dir the result cache is disk-backed and crash-safe
 // (internal/store, DESIGN.md §8): completed solves are written through to
 // content-addressed files, a restart replays the store's index — verifying
-// checksums and quarantining corrupt entries — and a memory-cache miss reads
+// checksums and dropping corrupt entries — and a memory-cache miss reads
 // the store before solving, so previously solved instances are served
 // byte-identically with no new solves. -store-max-bytes bounds the on-disk
 // size via LRU eviction. Every store read re-reads the entry file and
-// verifies its checksum; a job served from the store keeps its own copy of
-// the result. With -store-read-only the directory is never mutated, so N
+// verifies its checksum: a file that fails is unlinked and the request
+// re-solves it. A job served from the store keeps its own copy of the
+// result. With -store-read-only the directory is never mutated, so N
 // shards can serve one warm store concurrently (behind ecssrouter, say),
 // sharing the kernel's page cache for its files.
 //
@@ -32,15 +33,13 @@
 //
 // For chaos testing, -faults (or the ECSS_FAULTS environment variable; the
 // flag wins) arms the internal/faults injection plan — see that package for
-// the spec grammar — and -reverify starts the store's background reverifier,
-// which periodically re-checks quarantined entries, restoring the ones that
-// verify clean and deleting the ones that fail twice (DESIGN.md §9).
+// the spec grammar (DESIGN.md §9).
 //
 // Usage:
 //
 //	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512]
 //	      [-net-workers 1] [-drain-timeout 30s] [-debug-addr ADDR]
-//	      [-store-dir DIR] [-store-max-bytes 268435456] [-reverify 0]
+//	      [-store-dir DIR] [-store-max-bytes 268435456]
 //	      [-profile-rounds 512] [-slo-latency 2s]
 //	      [-faults "solve.stage:panic,p=0.01;store.fsync:error,p=0.05"]
 //
@@ -83,8 +82,7 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	storeDir := flag.String("store-dir", "", "disk-backed result store directory (empty: results are not persisted)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "on-disk store budget, LRU-evicted (<=0: unbounded)")
-	storeReadOnly := flag.Bool("store-read-only", false, "open -store-dir read-only: serve a warm directory without writing, evicting, or quarantining (shareable across shards)")
-	reverify := flag.Duration("reverify", 0, "background store reverifier interval (0: disabled)")
+	storeReadOnly := flag.Bool("store-read-only", false, "open -store-dir read-only: serve a warm directory without writing, evicting, or unlinking (shareable across shards)")
 	profileRounds := flag.Int("profile-rounds", 512, "per-job engine round profile samples (<0: profiling disabled)")
 	sloLatency := flag.Duration("slo-latency", 2*time.Second, "solve-latency SLO threshold for burn-rate exposition")
 	debugAddr := flag.String("debug-addr", "", "pprof/debug listen address (empty: disabled)")
@@ -113,10 +111,9 @@ func run() error {
 	if *storeDir != "" {
 		var err error
 		st, err = store.OpenWith(*storeDir, store.Options{
-			MaxBytes:      *storeMaxBytes,
-			ReverifyEvery: *reverify,
-			Bus:           o.Bus,
-			ReadOnly:      *storeReadOnly,
+			MaxBytes: *storeMaxBytes,
+			Bus:      o.Bus,
+			ReadOnly: *storeReadOnly,
 		})
 		if err != nil {
 			return fmt.Errorf("open store %s: %w", *storeDir, err)
@@ -126,7 +123,7 @@ func run() error {
 			mode = " (read-only)"
 		}
 		sst := st.Stats()
-		log.Printf("ecssd: store %s%s: %d entries / %d bytes warm, %d quarantined",
+		log.Printf("ecssd: store %s%s: %d entries / %d bytes warm, %d corrupt (dropped)",
 			*storeDir, mode, sst.Entries, sst.Bytes, sst.Corruptions)
 	}
 	svc := service.New(service.Config{
@@ -193,9 +190,9 @@ func run() error {
 	log.Printf("ecssd: drained clean: %d submitted, %d solves, %d cache hits, %d store hits, %d coalesced, %d failed",
 		stats.Submitted, stats.Solves, stats.CacheHits, stats.StoreHits, stats.Coalesced, stats.Failed)
 	if stats.Store != nil {
-		log.Printf("ecssd: store flushed: %d entries / %d bytes on disk, %d puts, %d evictions, %d corruptions, %d quarantined, %d restored",
+		log.Printf("ecssd: store flushed: %d entries / %d bytes on disk, %d puts, %d evictions, %d corruptions",
 			stats.Store.Entries, stats.Store.Bytes, stats.Store.Puts, stats.Store.Evictions,
-			stats.Store.Corruptions, stats.Store.Quarantined, stats.Store.Restored)
+			stats.Store.Corruptions)
 	}
 	return nil
 }

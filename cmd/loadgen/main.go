@@ -21,8 +21,7 @@
 // "name sha256(result)" lines; a later run with -verify-acked FILE (against
 // a restarted server) replays exactly those instances and fails if any is no
 // longer served, or served with different bytes — the zero-lost-acks gate.
-// -min-acked and -min-restored gate the chaos run itself (the latter polls
-// the server until the store reports that many reverifier restores).
+// -min-acked and -min-expired gate the chaos run itself.
 //
 // Multi-target mode (-targets) spreads the workload round-robin over a
 // comma-separated list of servers — ecssd shards directly, or one or more
@@ -62,7 +61,7 @@
 //	        [-min-engine-rounds -1]
 //	        [-stream] [-min-streamed -1]
 //	        [-chaos] [-acked-out FILE] [-verify-acked FILE]
-//	        [-min-acked -1] [-min-restored -1]
+//	        [-min-acked -1] [-min-expired -1]
 package main
 
 import (
@@ -127,7 +126,6 @@ func run() error {
 	verifyAcked := flag.String("verify-acked", "", "replay the acked file against the server and fail on any lost or altered result")
 	minAcked := flag.Int64("min-acked", -1, "chaos mode: fail unless at least this many results were acknowledged (<0: no check)")
 	minExpired := flag.Int64("min-expired", -1, "chaos mode: fail unless at least this many requests expired with an explicit deadline error (<0: no check)")
-	minRestored := flag.Int64("min-restored", -1, "fail unless the server stores report at least this many reverifier restores in total (<0: no check)")
 	flag.Parse()
 
 	targets := []string{strings.TrimRight(*addr, "/")}
@@ -160,7 +158,7 @@ func run() error {
 		// (or deterministically re-produce) every acknowledged byte.
 		modeErr = runVerifyAcked(client, targets[0], items, *verifyAcked)
 	case *chaos:
-		modeErr = runChaos(client, targets, items, *duration, *concurrency, *ackedOut, *minAcked, *minExpired, *minRestored)
+		modeErr = runChaos(client, targets, items, *duration, *concurrency, *ackedOut, *minAcked, *minExpired)
 	case *stream:
 		modeErr = runStream(client, targets, items, *duration, *concurrency, *minStreamed)
 	default:
@@ -667,7 +665,7 @@ type ackedRec struct {
 	sum  string // hex sha256 of the result bytes
 }
 
-func runChaos(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, ackedOut string, minAcked, minExpired, minRestored int64) error {
+func runChaos(client *http.Client, targets []string, items []workItem, duration time.Duration, concurrency int, ackedOut string, minAcked, minExpired int64) error {
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -746,9 +744,8 @@ func runChaos(client *http.Client, targets []string, items []workItem, duration 
 				class+":", cs.Submitted, cs.Queued, cs.Shed, cs.Expired, cs.Canceled, cs.RejectedFull)
 		}
 		if st.Store != nil {
-			fmt.Printf("server store:  %d entries, %d corruptions, %d quarantined (%d failed), %d restored, %d reverify-deleted\n",
-				st.Store.Entries, st.Store.Corruptions, st.Store.Quarantined,
-				st.Store.QuarantineFails, st.Store.Restored, st.Store.ReverifyDeleted)
+			fmt.Printf("server store:  %d entries, %d corruptions\n",
+				st.Store.Entries, st.Store.Corruptions)
 		}
 		for _, name := range slices.Sorted(maps.Keys(st.Faults)) {
 			fmt.Printf("  fault %-18s %d hits, %d fires\n", name+":", st.Faults[name].Hits, st.Faults[name].Fires)
@@ -773,26 +770,6 @@ func runChaos(client *http.Client, targets []string, items []workItem, duration 
 	}
 	if minExpired >= 0 && tally.expired < minExpired {
 		return fmt.Errorf("only %d requests expired with a deadline error, need >= %d", tally.expired, minExpired)
-	}
-	if minRestored >= 0 {
-		// The background reverifiers run on their own clocks; give them a
-		// moment. Restores sum across targets (each shard owns a store).
-		waitUntil := time.Now().Add(15 * time.Second)
-		for {
-			restored := int64(0)
-			for _, tgt := range targets {
-				if st, err := fetchStats(client, tgt); err == nil && st.Store != nil {
-					restored += st.Store.Restored
-				}
-			}
-			if restored >= minRestored {
-				break
-			}
-			if time.Now().After(waitUntil) {
-				return fmt.Errorf("stores report %d reverifier restores, need >= %d", restored, minRestored)
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
 	}
 	return nil
 }

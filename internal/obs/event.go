@@ -41,14 +41,13 @@ const (
 
 	// Result store. store.evict names each removed key; store.evict_pressure
 	// summarizes one eviction pass (Bytes reclaimed, Count victims, Budget
-	// enforced) so byte-pressure cycling is one event, not N.
+	// enforced) so byte-pressure cycling is one event, not N. store.corrupt
+	// carries the verification error of a file the store dropped.
 	EvStoreWrite         = "store.write"
 	EvStoreWriteError    = "store.write_error"
 	EvStoreEvict         = "store.evict"
 	EvStoreEvictPressure = "store.evict_pressure"
-	EvStoreQuarantine    = "store.quarantine"
-	EvStoreRestore       = "store.restore"
-	EvStoreReverifyDrop  = "store.reverify_delete"
+	EvStoreCorrupt       = "store.corrupt"
 
 	// Routing tier.
 	EvRouterRetry          = "router.retry"

@@ -76,8 +76,7 @@ func (s *Service) registerMetrics() {
 			c("ecss_store_evictions_total", "Entries evicted to respect the byte budget.", float64(ss.Evictions))
 			c("ecss_store_corruptions_total", "Damaged entries or index records detected.", float64(ss.Corruptions))
 			c("ecss_store_write_errors_total", "Puts the writer could not persist.", float64(ss.WriteErrors))
-			c("ecss_store_reverify_deleted_total", "Quarantined files deleted after repeated failures.", float64(ss.ReverifyDeleted))
-			c("ecss_store_touch_drops_total", "Atime touch records dropped on a saturated writer queue.", float64(ss.TouchDrops))
+			c("ecss_store_touch_drops_total", "Advisory index records (touches, dels) dropped on a saturated writer queue.", float64(ss.TouchDrops))
 		}
 		c("ecss_engine_rounds_total", "Engine rounds consumed across all solves, by accounting kind.",
 			float64(st.Engine.SimulatedRounds), obs.L("kind", "simulated"))

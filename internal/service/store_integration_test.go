@@ -203,8 +203,8 @@ func TestStoreHitWithoutMemoryCache(t *testing.T) {
 }
 
 // TestRestartQuarantinesCorruptEntry: damage one persisted entry between
-// runs; the restarted service must re-solve exactly that instance and keep
-// serving the rest warm.
+// runs; the reopened store drops it, and the restarted service must
+// re-solve exactly that instance and keep serving the rest warm.
 func TestRestartQuarantinesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
 	const instances = 4
@@ -234,7 +234,7 @@ func TestRestartQuarantinesCorruptEntry(t *testing.T) {
 
 	st2 := openStore(t, dir, 0)
 	if sst := st2.Stats(); sst.Corruptions != 1 || sst.Entries != instances-1 {
-		t.Fatalf("reopen stats %+v, want 1 quarantined / %d survivors", sst, instances-1)
+		t.Fatalf("reopen stats %+v, want 1 corruption / %d survivors", sst, instances-1)
 	}
 	s2 := New(Config{Workers: 2, Store: st2})
 	defer drain(t, s2)
@@ -253,15 +253,15 @@ func TestRestartQuarantinesCorruptEntry(t *testing.T) {
 		}
 	}
 	if st := s2.Stats(); st.Solves != 1 {
-		t.Fatalf("re-solved %d instances, want exactly the quarantined one (stats %+v)", st.Solves, st)
+		t.Fatalf("re-solved %d instances, want exactly the damaged one (stats %+v)", st.Solves, st)
 	}
 }
 
 // TestCorruptionUnderLiveTrafficHealed is the steady-state self-healing
 // test: an object damaged while the service keeps serving (not between
-// restarts) must be quarantined on first touch, transparently re-solved with
-// byte-identical results, and — after a reverifier pass clears the
-// spuriously-quarantined intact copy — served from the store again.
+// restarts) must be dropped on first touch and transparently re-solved with
+// byte-identical results; a transient read failure unlinks the intact file
+// the same way, and once the re-solve is written back the store serves it.
 func TestCorruptionUnderLiveTrafficHealed(t *testing.T) {
 	dir := t.TempDir()
 	// No memory cache: every submit consults the store, so disk damage is
@@ -295,8 +295,8 @@ func TestCorruptionUnderLiveTrafficHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Next request: the corrupt read quarantines, misses, and re-solves to
-	// the same bytes — the client never sees the damage.
+	// Next request: the corrupt read drops the entry, misses, and re-solves
+	// to the same bytes — the client never sees the damage.
 	j2, hit, err := s.Submit(g, ecss.DefaultOptions())
 	if err != nil || hit {
 		t.Fatalf("post-corruption submit: hit=%v err=%v", hit, err)
@@ -306,22 +306,23 @@ func TestCorruptionUnderLiveTrafficHealed(t *testing.T) {
 		t.Fatal("re-solved result differs from the original bytes")
 	}
 	st := s.Stats()
-	if st.Solves != 2 || st.StoreHits != 0 {
-		t.Fatalf("stats %+v, want 2 solves and no store hit yet", st)
-	}
-	if st.Store.Corruptions != 1 || st.Store.Quarantined != 1 {
-		t.Fatalf("store stats %+v, want the damage quarantined", st.Store)
+	if st.Solves != 2 || st.StoreHits != 0 || st.Store.Corruptions != 1 {
+		t.Fatalf("stats %+v / store %+v, want 2 solves, no store hit, 1 corruption", st, st.Store)
 	}
 	if err := s.store.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A transient read fault now quarantines the freshly rewritten, intact
-	// object (overwriting the corrupt quarantine copy of the same key)...
-	armFaults(t, "store.read:error,count=1")
+	// A transient read fault unlinks the freshly rewritten, intact object.
+	// The solve is held back so the file is seen gone before the re-solve
+	// writes it again.
+	armFaults(t, "store.read:error,count=1;solve.pre:delay=300ms")
 	j3, hit, err := s.Submit(g, ecss.DefaultOptions())
 	if err != nil || hit {
 		t.Fatalf("faulted submit: hit=%v err=%v", hit, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("object file still present after the failed read (err=%v)", err)
 	}
 	waitJob(t, j3)
 	if got := s.snapshot(j3).Result; !bytes.Equal(got, want) {
@@ -332,12 +333,7 @@ func TestCorruptionUnderLiveTrafficHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ...which the reverifier proves clean and clears.
-	if restored, deleted := s.store.Reverify(); restored != 1 || deleted != 0 {
-		t.Fatalf("Reverify = (%d, %d), want (1, 0)", restored, deleted)
-	}
-
-	// With the store whole again, the next request is a disk hit.
+	// The re-solve's write-through makes the next request a disk hit.
 	j4, hit, err := s.Submit(g, ecss.DefaultOptions())
 	if err != nil || !hit {
 		t.Fatalf("healed submit: hit=%v err=%v", hit, err)
@@ -347,7 +343,7 @@ func TestCorruptionUnderLiveTrafficHealed(t *testing.T) {
 		t.Fatal("store-served result differs from the original bytes")
 	}
 	st = s.Stats()
-	if st.StoreHits != 1 || st.Solves != 3 || st.Store.Restored != 1 {
+	if st.StoreHits != 1 || st.Solves != 3 || st.Store.Corruptions != 2 {
 		t.Fatalf("final stats %+v / store %+v, want a store hit after healing", st, st.Store)
 	}
 }

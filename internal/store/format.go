@@ -5,7 +5,7 @@
 // followed by the canonical wire payload. Files are written atomically
 // (temp file + rename + directory fsync) and recorded in an fsync'd
 // append-only index log that Open replays for a fast startup scan; corrupt
-// or truncated entries are quarantined, never fatal. On-disk size is
+// or truncated entries are unlinked, never fatal. On-disk size is
 // bounded by LRU eviction on the access times recorded in the index.
 package store
 
@@ -22,8 +22,8 @@ import (
 type Key = [32]byte
 
 // Format constants. Version bumps when the header layout changes; Open
-// quarantines entries whose version it does not understand rather than
-// guessing at their layout.
+// drops entries whose version it does not understand rather than guessing
+// at their layout.
 const (
 	magic         = "2ECR"
 	formatVersion = 1
@@ -68,7 +68,7 @@ func EncodeHeader(h Header) [HeaderSize]byte {
 }
 
 // Errors returned by DecodeHeader, distinguishable for tests; every decode
-// failure is handled by quarantining the file, never by panicking.
+// failure is handled by dropping the file, never by panicking.
 var (
 	ErrShortHeader = errors.New("store: short header")
 	ErrBadMagic    = errors.New("store: bad magic")

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -22,6 +23,14 @@ func bigPayload(seed byte, size int) []byte {
 		block = sha256.Sum256(block[:])
 	}
 	return out[:size]
+}
+
+func armFaults(t *testing.T, spec string) {
+	t.Helper()
+	if err := faults.Arm(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faults.Disarm)
 }
 
 func putOne(t testing.TB, s *Store, i int, payload []byte) Key {
@@ -76,7 +85,7 @@ func TestFallbackPinDefersUnlink(t *testing.T) {
 
 // TestGetVerifiesEveryRead damages an object file after it has been read
 // once: every later Get must re-read and re-verify it, so the damaged
-// bytes are never served and the file is quarantined.
+// bytes are never served and the file is unlinked.
 func TestGetVerifiesEveryRead(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -119,10 +128,89 @@ func TestGetVerifiesEveryRead(t *testing.T) {
 			if got := s.Stats().Corruptions; got != before+1 {
 				t.Fatalf("Corruptions %d after the damaged read, want %d", got, before+1)
 			}
-			if _, err := os.Stat(s.quarantinePath(k)); err != nil {
-				t.Fatalf("damaged file not quarantined: %v", err)
+			if _, err := os.Stat(s.objPath(k)); !os.IsNotExist(err) {
+				t.Fatalf("damaged file still in objects/ (err=%v)", err)
 			}
 		})
+	}
+}
+
+// TestFailedReadNotRecountedAfterRestart: a failed read unlinks the file
+// and records a del line, so a reopened store neither counts the failure
+// again nor lists the key.
+func TestFailedReadNotRecountedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	putN(t, s, 2)
+	armFaults(t, "store.read:error,count=1")
+	k0, _, _ := mkKey(0)
+	if _, ok := s.Get(k0); ok {
+		t.Fatal("read with injected fault reported a hit")
+	}
+	if st := s.Stats(); st.Corruptions != 1 || st.Entries != 1 {
+		t.Fatalf("post-fault stats %+v, want 1 corruption / 1 survivor", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := mustOpen(t, dir, 0)
+	defer r.Close()
+	if st := r.Stats(); st.Corruptions != 0 || st.Entries != 1 {
+		t.Fatalf("reopen stats %+v, want 0 corruptions / 1 entry", st)
+	}
+	if r.Contains(k0) {
+		t.Fatal("faulted key listed after restart")
+	}
+	k1, _, _ := mkKey(1)
+	if b, ok := r.Get(k1); !ok || !bytes.Equal(b, payloadFor(1)) {
+		t.Fatalf("surviving entry not served (ok=%v)", ok)
+	}
+}
+
+// TestRePutBeforeDelWins: a re-put enqueued ahead of a failed read's del
+// record keeps the key live, across a restart too.
+func TestRePutBeforeDelWins(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	putN(t, s, 1)
+	k, gh, op := mkKey(0)
+	// Park the writer in an index append, then queue the re-put behind it
+	// while the key is still live: the failed read below drops the key and
+	// queues its del after the re-put.
+	armFaults(t, "store.index:delay=200ms")
+	k9, gh9, op9 := mkKey(9)
+	if err := s.Put(k9, gh9, op9, payloadFor(9)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if err := s.Put(k, gh, op, payloadFor(0)); err != nil {
+		t.Fatal(err)
+	}
+	armFaults(t, "store.read:error,count=1")
+	if _, ok := s.Get(k); ok {
+		t.Fatal("read with injected fault reported a hit")
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Contains(k) {
+		t.Fatal("re-put key not live after the del record")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The writer skipped the del: a del line here would leave the key to
+	// orphan adoption on reopen, which loses its access time.
+	if idx, err := os.ReadFile(filepath.Join(dir, "index.log")); err != nil || bytes.Contains(idx, []byte(fmt.Sprintf("del %x", k[:]))) {
+		t.Fatalf("del line appended for a live key (err=%v)", err)
+	}
+	r := mustOpen(t, dir, 0)
+	defer r.Close()
+	if b, ok := r.Get(k); !ok || !bytes.Equal(b, payloadFor(0)) {
+		t.Fatalf("re-put key not served after restart (ok=%v)", ok)
+	}
+	if st := r.Stats(); st.Corruptions != 0 || st.Entries != 2 {
+		t.Fatalf("reopen stats %+v, want 0 corruptions / 2 entries", st)
 	}
 }
 
@@ -253,15 +341,12 @@ func TestReadOnlySharedStore(t *testing.T) {
 	if err := ro1.Flush(); err != nil {
 		t.Fatalf("Flush on read-only store: %v, want nil no-op", err)
 	}
-	if r, d := ro1.Reverify(); r != 0 || d != 0 {
-		t.Fatalf("Reverify on read-only store did work: %d restored, %d deleted", r, d)
-	}
 	if after, err := os.ReadFile(filepath.Join(dir, "index.log")); err != nil || !bytes.Equal(indexBefore, after) {
 		t.Fatalf("read-only openers mutated the index (err=%v)", err)
 	}
 
 	// A damaged entry is dropped from the read-only opener's live set but
-	// the file is left in place for the writable owner to quarantine.
+	// the file is left in place for the writable owner to unlink.
 	k0, _, _ := mkKey(0)
 	objPath := ro1.objPath(k0)
 	if err := os.WriteFile(objPath, []byte("damaged"), 0o644); err != nil {
@@ -275,14 +360,11 @@ func TestReadOnlySharedStore(t *testing.T) {
 	if _, ok := ro3.Get(k0); ok {
 		t.Fatal("read-only opener served a damaged entry")
 	}
-	if st := ro3.Stats(); st.Corruptions != 1 || st.Quarantined != 0 || st.Entries != 5 {
-		t.Fatalf("read-only scan stats %+v, want 1 corruption counted, 0 quarantined, 5 live", st)
+	if st := ro3.Stats(); st.Corruptions != 1 || st.Entries != 5 {
+		t.Fatalf("read-only scan stats %+v, want 1 corruption counted, 5 live", st)
 	}
 	if _, err := os.Stat(objPath); err != nil {
 		t.Fatalf("read-only opener moved or deleted the damaged file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "quarantine", objName(k0))); !os.IsNotExist(err) {
-		t.Fatal("read-only opener quarantined a file")
 	}
 }
 
@@ -322,10 +404,10 @@ func TestTouchDropsCounted(t *testing.T) {
 	}
 }
 
-// TestTortureConcurrentMultiMB is the -race gate from the acceptance
-// criteria: concurrent Gets, re-Puts, evictions (tight byte budget),
-// whole-key-set Get sweeps, and Reverify passes over multi-megabyte
-// entries.
+// TestTortureConcurrentMultiMB is the -race gate for the store: concurrent
+// Gets, re-Puts, evictions (tight byte budget) and whole-key-set Get sweeps
+// over multi-megabyte entries, with injected read failures whose unlinks
+// race the pinned reads, evictions and re-puts.
 func TestTortureConcurrentMultiMB(t *testing.T) {
 	const mb = 1 << 20
 	s, err := OpenWith(t.TempDir(), Options{MaxBytes: 4 * mb})
@@ -340,6 +422,7 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 		payloads[i] = bigPayload(byte(100+i), mb+i*(mb/4))
 		keys[i] = putOne(t, s, 100+i, payloads[i])
 	}
+	armFaults(t, "store.read:error,p=0.05")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -377,7 +460,7 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // sweeper + reverifier
+	go func() { // sweeper
 		defer wg.Done()
 		for {
 			select {
@@ -388,18 +471,39 @@ func TestTortureConcurrentMultiMB(t *testing.T) {
 			for _, k := range keys {
 				s.Get(k)
 			}
-			s.Reverify()
 		}
 	}()
+	// Run for a second, then on until the read faults have fired a few
+	// times: the point's PRNG is seeded from its name, and its first fire
+	// at p=0.05 comes after 150 hits, more than a -race second makes.
 	time.Sleep(1 * time.Second)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+		if faults.Snapshot()["store.read"].Fires >= 3 {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	close(stop)
 	wg.Wait()
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	fires := faults.Snapshot()["store.read"].Fires
+	faults.Disarm()
 	st := s.Stats()
-	if st.Corruptions != 0 {
-		t.Fatalf("torture produced %d corruptions", st.Corruptions)
+	if fires < 3 || st.Corruptions != fires {
+		t.Fatalf("corruptions %d, want the %d injected read failures", st.Corruptions, fires)
+	}
+	for i, k := range keys {
+		if !s.Contains(k) {
+			continue
+		}
+		if _, err := os.Stat(s.objPath(k)); err != nil {
+			t.Fatalf("live entry %d has no file: %v", i, err)
+		}
+		if b, ok := s.Get(k); !ok || !bytes.Equal(b, payloads[i]) {
+			t.Fatalf("live entry %d not served byte for byte (ok=%v)", i, ok)
+		}
 	}
 	if st.Bytes > 6*mb+HeaderSize { // budget + one oversized-entry slack
 		t.Fatalf("bytes %d never converged toward the 4MB budget", st.Bytes)

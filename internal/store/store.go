@@ -32,31 +32,22 @@ type Stats struct {
 	DupPuts int64 `json:"dup_puts"`
 	// Evictions counts entries removed to keep Bytes under the budget.
 	Evictions int64 `json:"evictions"`
-	// Corruptions counts quarantined files and dropped index records:
-	// truncated or checksum-mismatched entries, undecodable headers, stale
-	// index lines pointing at missing files, and malformed index lines.
+	// Corruptions counts failed verifications and dropped index records:
+	// every Get whose read or checksum check fails, every entry the Open
+	// scan drops (truncated or checksum-mismatched files, undecodable
+	// headers, stale index lines pointing at missing files), and an index
+	// replay cut short. A failed file is unlinked, so its key's next request
+	// is a miss that re-solves it.
 	Corruptions int64 `json:"corruptions"`
 	// WriteErrors counts puts the writer could not persist (ENOSPC,
 	// permissions): the entry is simply absent after a restart. Distinct
 	// from Corruptions, which reports damaged data, not failed writes.
 	WriteErrors int64 `json:"write_errors"`
-	// Quarantined counts entry files actually moved into quarantine/;
-	// QuarantineFails counts quarantine renames that failed with the file
-	// still present (permissions, crossed mounts) — the damaged file then
-	// stays in objects/ for the next restart to re-examine. A rename that
-	// finds no file (stale index line) is neither.
-	Quarantined     int64 `json:"quarantined"`
-	QuarantineFails int64 `json:"quarantine_fails"`
-	// Restored counts quarantined entries the background reverifier proved
-	// intact end-to-end (returned to objects/, or discarded as a redundant
-	// copy of an already-relived key); ReverifyDeleted counts quarantined
-	// files deleted after failing verification reverifyStrikes times.
-	Restored        int64 `json:"restored"`
-	ReverifyDeleted int64 `json:"reverify_deleted"`
-	// TouchDrops counts atime touch records dropped because the writer
-	// queue was saturated: reads never block behind the writer, at the cost
-	// of eviction-order fidelity. A rising rate means LRU decisions are
-	// running on stale access times.
+	// TouchDrops counts advisory index records — atime touches, and the del
+	// line after a failed read — dropped because the writer queue was
+	// saturated: reads never block behind the writer, at the cost of
+	// eviction-order fidelity. A rising rate means LRU decisions are running
+	// on stale access times.
 	TouchDrops int64 `json:"touch_drops"`
 	// Entries and Bytes describe the live on-disk set.
 	Entries int   `json:"entries"`
@@ -88,13 +79,15 @@ type entry struct {
 }
 
 // writeOp is one unit of work for the background writer: a put (payload
-// non-nil), a touch (atime record), or a flush barrier (ack non-nil).
+// non-nil), a touch (atime record), a del record (del set), or a flush
+// barrier (ack non-nil).
 type writeOp struct {
 	key       Key
 	graphHash [32]byte
 	options   [32]byte
 	payload   []byte
 	atime     int64
+	del       bool
 	ack       chan struct{}
 	stop      bool
 }
@@ -109,8 +102,8 @@ type Store struct {
 	maxBytes int64
 	bus      *obs.Bus // nil: events disabled
 	// ro marks a read-only store (Options.ReadOnly): no writer, no index
-	// mutation, no eviction, no quarantine renames — N daemons can serve
-	// one warm directory.
+	// mutation, no eviction, no unlinks — N daemons can serve one warm
+	// directory.
 	ro bool
 
 	mu        sync.Mutex
@@ -120,24 +113,18 @@ type Store struct {
 	stats     Stats
 	indexF    *os.File
 	lastStamp int64 // high-water access-time stamp (see stampLocked)
-	// pins counts each key's off-lock file reads in flight. Evicting a
-	// pinned key marks it doomed instead of unlinking its file, and the
-	// last reader unlinks it (unpinLocked). A put of the key takes the path
-	// over, so it clears doomed before it writes the new file.
+	// pins counts each key's off-lock file reads in flight. Dropping a
+	// pinned key (eviction, a failed read) marks it doomed instead of
+	// unlinking its file, and the last reader unlinks it (unpinLocked). A
+	// put of the key takes the path over, so it clears doomed before it
+	// writes the new file.
 	pins   map[Key]int
 	doomed map[Key]bool
-	// strikes counts consecutive failed reverifications per quarantined
-	// key; at reverifyStrikes the file is deleted for good.
-	strikes map[Key]int
 
 	closeMu sync.RWMutex
 	closed  bool
 	writeCh chan writeOp
 	done    chan struct{}
-	// revStop/revDone bracket the background reverifier goroutine's
-	// lifetime; nil when ReverifyEvery is 0.
-	revStop chan struct{}
-	revDone chan struct{}
 }
 
 // Options configures OpenWith beyond the directory.
@@ -145,28 +132,21 @@ type Options struct {
 	// MaxBytes bounds the on-disk entry bytes via LRU eviction (<=0:
 	// unbounded).
 	MaxBytes int64
-	// ReverifyEvery, when positive, starts a background goroutine running a
-	// Reverify pass over the quarantine directory at this interval, so
-	// entries quarantined by transient failures (injected read faults, EIO)
-	// are restored while the process lives instead of lingering until an
-	// operator looks.
-	ReverifyEvery time.Duration
 	// Bus, when non-nil, receives store.* lifecycle events (writes, write
-	// errors, evictions, quarantines, restores, reverify deletions). Pass
-	// the process bus so store events interleave with job events on one
-	// firehose.
+	// errors, evictions, corrupt files). Pass the process bus so store
+	// events interleave with job events on one firehose.
 	Bus *obs.Bus
 	// ReadOnly opens the store without mutating the directory in any way:
 	// no temp sweep, no index compaction or appends, no eviction, no
-	// quarantine renames, and Put/Reverify are rejected with ErrReadOnly.
+	// unlinks of corrupt files, and Put is rejected with ErrReadOnly.
 	// Several read-only stores (in one process or many) can serve a single
-	// warm directory concurrently; MaxBytes and ReverifyEvery are ignored.
+	// warm directory concurrently; MaxBytes is ignored.
 	ReadOnly bool
 }
 
 // Open creates or reopens the store rooted at dir, bounded to maxBytes of
 // entry bytes on disk (<=0: unbounded). It replays the index log, verifies
-// every referenced entry's header and payload checksum — quarantining
+// every referenced entry's header and payload checksum — unlinking
 // corrupt, truncated, or unreadable files and dropping stale index records
 // — adopts orphaned entry files the log does not mention (a crash window
 // between rename and index append), rewrites a compact index, and evicts
@@ -179,7 +159,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // OpenWith is Open with the full option set.
 func OpenWith(dir string, o Options) (*Store, error) {
 	if !o.ReadOnly {
-		for _, d := range []string{dir, filepath.Join(dir, "objects"), filepath.Join(dir, "quarantine")} {
+		for _, d := range []string{dir, filepath.Join(dir, "objects")} {
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				return nil, fmt.Errorf("store: %w", err)
 			}
@@ -201,7 +181,6 @@ func OpenWith(dir string, o Options) (*Store, error) {
 		ll:       list.New(),
 		pins:     make(map[Key]int),
 		doomed:   make(map[Key]bool),
-		strikes:  make(map[Key]int),
 	}
 	if err := s.scan(); err != nil {
 		return nil, err
@@ -231,20 +210,12 @@ func OpenWith(dir string, o Options) (*Store, error) {
 	}
 	s.indexF = f
 	go s.writer()
-	if o.ReverifyEvery > 0 {
-		s.revStop = make(chan struct{})
-		s.revDone = make(chan struct{})
-		go s.reverifyLoop(o.ReverifyEvery)
-	}
 	return s, nil
 }
 
 func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.log") }
 func (s *Store) objPath(k Key) string {
 	return filepath.Join(s.dir, "objects", hex.EncodeToString(k[:])+".res")
-}
-func (s *Store) quarantinePath(k Key) string {
-	return filepath.Join(s.dir, "quarantine", hex.EncodeToString(k[:])+".res")
 }
 
 // scan replays the index log and reconciles it against the objects
@@ -337,8 +308,10 @@ func (s *Store) scan() error {
 		}
 		b, err := readEntryFile(s.objPath(k), k)
 		if err != nil {
-			s.stats.Corruptions++
-			s.quarantineLocked(k)
+			s.corruptLocked(k, err)
+			if !s.ro {
+				os.Remove(s.objPath(k))
+			}
 			continue
 		}
 		live = append(live, liveEnt{k: k, size: int64(len(b)), atime: r.atime})
@@ -382,27 +355,12 @@ func (s *Store) emit(typ string, k Key, errStr string) {
 	s.bus.Publish(obs.Event{Type: typ, Key: hex.EncodeToString(k[:6]), Err: errStr})
 }
 
-// quarantineLocked moves the entry file for k aside for the reverifier to
-// re-examine. A missing source file — the stale-index-line case — has
-// nothing to move and is not a failure; any other rename error is counted
-// in QuarantineFails (the damaged file then stays in objects/, where the
-// next restart's scan re-examines it) instead of being silently dropped.
-// Caller holds s.mu (or is the single-threaded Open scan).
-func (s *Store) quarantineLocked(k Key) {
-	if s.ro {
-		// A read-only opener must not mutate a directory another daemon
-		// owns: the damaged entry is dropped from this opener's live set
-		// and left in place for the writable owner to quarantine.
-		return
-	}
-	switch err := os.Rename(s.objPath(k), s.quarantinePath(k)); {
-	case err == nil:
-		s.stats.Quarantined++
-		s.emit(obs.EvStoreQuarantine, k, "")
-	case os.IsNotExist(err):
-	default:
-		s.stats.QuarantineFails++
-	}
+// corruptLocked counts a failed verification of k's file and publishes
+// it with the error, the only record of the damage once the file is
+// unlinked. Caller holds s.mu (or is the single-threaded Open scan).
+func (s *Store) corruptLocked(k Key, err error) {
+	s.stats.Corruptions++
+	s.emit(obs.EvStoreCorrupt, k, err.Error())
 }
 
 // stampLocked returns a strictly increasing access-time stamp: wall-clock
@@ -484,11 +442,12 @@ func parseIndexLine(line string) (k Key, op string, atime int64, ok bool) {
 
 // Get returns the stored payload for key, or ok=false on a miss. Every hit
 // reads the object file and verifies it end-to-end against its header
-// checksum, so a file damaged on disk is never served: it is quarantined
-// and reported as a miss. The payload is a private copy that stays valid
-// after eviction or Close. The access time of a hit feeds LRU eviction. No
-// lock is held across the read or the hash: the key is pinned instead, so
-// an eviction meanwhile defers its unlink to the last reader.
+// checksum, so a file damaged on disk is never served: it is unlinked and
+// reported as a miss, and the caller's re-solve puts the key back. The
+// payload is a private copy that stays valid after eviction or Close. The
+// access time of a hit feeds LRU eviction. No lock is held across the read
+// or the hash: the key is pinned instead, so an eviction or a failed read
+// meanwhile defers its unlink to the last reader.
 func (s *Store) Get(key Key) (payload []byte, ok bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
@@ -501,9 +460,8 @@ func (s *Store) Get(key Key) (payload []byte, ok bool) {
 	s.mu.Unlock()
 
 	// store.read simulates a transient read failure (EIO): the entry is
-	// quarantined exactly as a real one would be, and — since the file
-	// itself is intact — the reverifier later proves it clean and restores
-	// it. That loop is what the chaos smoke gates on.
+	// dropped and its intact file unlinked exactly as a damaged one would
+	// be, so the chaos smoke drives the re-solve path.
 	var img []byte
 	err := faults.Point("store.read")
 	if err == nil {
@@ -511,19 +469,20 @@ func (s *Store) Get(key Key) (payload []byte, ok bool) {
 	}
 
 	s.mu.Lock()
-	s.unpinLocked(key)
 	cur, live := s.entries[key]
 	sameEntry := live && cur == e
 	var now int64
 	switch {
 	case err != nil:
 		s.stats.Misses++
+		s.corruptLocked(key, err)
 		if sameEntry {
-			// A failed read may be transient or real: quarantine for the
-			// reverifier to adjudicate.
-			s.stats.Corruptions++
+			// Only the pinned entry's file is unlinked, never one a later
+			// put owns; other readers still pinned defer it to the last.
 			s.dropLocked(e)
-			s.quarantineLocked(key)
+			if !s.ro {
+				s.doomed[key] = true
+			}
 		}
 	case sameEntry:
 		s.stats.Hits++
@@ -533,17 +492,23 @@ func (s *Store) Get(key Key) (payload []byte, ok bool) {
 	default:
 		s.stats.Hits++
 	}
+	s.unpinLocked(key)
 	s.mu.Unlock()
+	switch {
+	case err == nil && now != 0:
+		s.record(writeOp{key: key, atime: now})
+	case err != nil && sameEntry:
+		// The index still holds the key's put line; without a del record
+		// the next Open would count this failure again.
+		s.record(writeOp{key: key, del: true})
+	}
 	if err != nil {
 		return nil, false
-	}
-	if now != 0 {
-		s.recordTouch(key, now)
 	}
 	return img[HeaderSize:], true
 }
 
-// unpinLocked drops one read pin on key. The last reader of a key evicted
+// unpinLocked drops one read pin on key. The last reader of a key dropped
 // while pinned performs the deferred unlink. It does so under s.mu: a put
 // of the same key clears doomed under s.mu before renaming its new file
 // into place, so the unlink can never remove a file a newer entry owns.
@@ -575,17 +540,17 @@ func (s *Store) GetView(key Key) (View, bool) {
 	return View{payload: b}, ok
 }
 
-// recordTouch enqueues a best-effort persistent atime record: drop it —
+// record enqueues a best-effort index record (a touch or a del): drop it —
 // counted, so eviction-order degradation is observable — rather than block
 // a read behind a saturated writer.
-func (s *Store) recordTouch(key Key, atime int64) {
+func (s *Store) record(op writeOp) {
 	if s.ro {
 		return
 	}
 	s.closeMu.RLock()
 	if !s.closed {
 		select {
-		case s.writeCh <- writeOp{key: key, atime: atime}:
+		case s.writeCh <- op:
 		default:
 			s.mu.Lock()
 			s.stats.TouchDrops++
@@ -683,13 +648,6 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
-	// Stop the reverifier before the writer: a mid-pass restore enqueues an
-	// index record (dropped once closed is set, but the goroutine should be
-	// gone before the index file is).
-	if s.revStop != nil {
-		close(s.revStop)
-		<-s.revDone
-	}
 	// All Put/Flush senders finished before closed was set (they hold the
 	// read lock across their send), so stop is the final op.
 	if !s.ro {
@@ -718,24 +676,29 @@ func (s *Store) writer() {
 		case op.ack != nil:
 			close(op.ack)
 		case op.payload == nil:
-			s.applyTouch(op)
+			s.applyRecord(op)
 		default:
 			s.applyPut(op)
 		}
 	}
 }
 
-func (s *Store) applyTouch(op writeOp) {
+// applyRecord appends a touch line while the key is live and a del line
+// only while it is not, so a re-put enqueued before the del wins. Both are
+// advisory and appended without fsync: a lost touch only ages the entry,
+// and a lost del only makes the next Open count the stale put line. Index
+// appends happen only on this writer goroutine, so no lock is held across
+// the write.
+func (s *Store) applyRecord(op writeOp) {
 	s.mu.Lock()
-	_, ok := s.entries[op.key]
+	_, live := s.entries[op.key]
 	s.mu.Unlock()
-	if !ok {
-		return
+	switch {
+	case op.del && !live:
+		fmt.Fprintf(s.indexF, "del %x\n", op.key[:])
+	case !op.del && live:
+		fmt.Fprintf(s.indexF, "touch %x %d\n", op.key[:], op.atime)
 	}
-	// Touch lines are advisory (eviction ordering), appended without fsync:
-	// losing them in a crash only ages the entry. Index appends happen only
-	// on this writer goroutine, so no lock is held across the write.
-	fmt.Fprintf(s.indexF, "touch %x %d\n", op.key[:], op.atime)
 }
 
 func (s *Store) applyPut(op writeOp) {
@@ -902,113 +865,6 @@ func (s *Store) Stats() Stats {
 	st.Entries = len(s.entries)
 	st.Bytes = s.bytes
 	return st
-}
-
-// reverifyStrikes is how many consecutive failed re-verifications doom a
-// quarantined file: "fail twice and you are gone" keeps genuinely corrupt
-// bytes from haunting the quarantine directory forever, while a single
-// fluke (a read racing an unlink, an injected fault during the pass) gets a
-// second look.
-const reverifyStrikes = 2
-
-// Reverify runs one pass over the quarantine directory, re-checking every
-// entry end-to-end against its header checksum — the same verification a
-// Get performs. A file that proves intact is restored: renamed back into
-// objects/ and re-indexed as live (or, when its key was re-solved and is
-// live again meanwhile, discarded as a redundant verified copy). A file
-// that fails collects a strike and is deleted at reverifyStrikes. The
-// background loop armed by Options.ReverifyEvery calls this periodically;
-// tests and operators can call it directly. Returns the restored and
-// deleted counts of this pass.
-func (s *Store) Reverify() (restored, deleted int) {
-	if s.ro {
-		// Restores rename files and append index records: the writable
-		// owner's reverifier does that; a read-only opener just serves.
-		return 0, 0
-	}
-	names, err := os.ReadDir(filepath.Join(s.dir, "quarantine"))
-	if err != nil {
-		return 0, 0
-	}
-	for _, de := range names {
-		name := de.Name()
-		if !strings.HasSuffix(name, ".res") {
-			continue
-		}
-		raw, err := hex.DecodeString(strings.TrimSuffix(name, ".res"))
-		if err != nil || len(raw) != 32 {
-			continue
-		}
-		var k Key
-		copy(k[:], raw)
-		qpath := s.quarantinePath(k)
-		// Verify outside s.mu (file reads must not stall Gets); the entry
-		// table mutation below re-checks liveness under the lock.
-		img, verr := readEntryFile(qpath, k)
-		if os.IsNotExist(verr) {
-			continue // raced with a concurrent restore/delete
-		}
-		s.mu.Lock()
-		if verr != nil {
-			s.strikes[k]++
-			if s.strikes[k] >= reverifyStrikes {
-				delete(s.strikes, k)
-				if os.Remove(qpath) == nil {
-					s.stats.ReverifyDeleted++
-					deleted++
-					s.emit(obs.EvStoreReverifyDrop, k, verr.Error())
-				}
-			}
-			s.mu.Unlock()
-			continue
-		}
-		delete(s.strikes, k)
-		if _, live := s.entries[k]; live {
-			// The key was re-solved (or re-stored) while quarantined; the
-			// live object wins and the verified copy is redundant.
-			os.Remove(qpath)
-			s.stats.Restored++
-			restored++
-			s.emit(obs.EvStoreRestore, k, "")
-			s.mu.Unlock()
-			continue
-		}
-		if os.Rename(qpath, s.objPath(k)) != nil {
-			s.mu.Unlock()
-			continue
-		}
-		delete(s.doomed, k) // the restored file owns the path now
-		e := &entry{key: k, size: int64(len(img)), atime: s.stampLocked()}
-		e.el = s.ll.PushFront(e)
-		s.entries[k] = e
-		s.bytes += e.size
-		s.stats.Restored++
-		restored++
-		s.emit(obs.EvStoreRestore, k, "")
-		atime := e.atime
-		s.mu.Unlock()
-		// Best-effort index record (appends happen only on the writer
-		// goroutine, so route through it like Get's touch records); a lost
-		// line only means orphan adoption re-indexes the file on restart.
-		// Byte-budget overshoot from restores is reconciled by the next
-		// put's eviction pass rather than here.
-		s.recordTouch(k, atime)
-	}
-	return restored, deleted
-}
-
-func (s *Store) reverifyLoop(every time.Duration) {
-	defer close(s.revDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.revStop:
-			return
-		case <-t.C:
-			s.Reverify()
-		}
-	}
 }
 
 // syncDir fsyncs a directory so a preceding rename is durable. Filesystems

@@ -154,7 +154,7 @@ func TestEvictionKeepsBudgetAndLRUOrder(t *testing.T) {
 			t.Fatalf("entry %d present=%v, want %v", i, got, want)
 		}
 	}
-	// Evicted files are gone from disk, not quarantined (they were valid).
+	// Evicted files are gone from disk.
 	k1, _, _ := mkKey(1)
 	if _, err := os.Stat(s.objPath(k1)); !os.IsNotExist(err) {
 		t.Fatalf("evicted object still on disk (err=%v)", err)
@@ -205,10 +205,11 @@ func TestOrphanObjectAdopted(t *testing.T) {
 	}
 }
 
-// TestCorruptionQuarantine is the satellite corruption-recovery matrix:
-// a truncated file, a flipped payload byte, and a stale index line must
-// each be quarantined on startup while every healthy entry keeps serving.
-func TestCorruptionQuarantine(t *testing.T) {
+// TestCorruptionDroppedOnOpen is the corruption-recovery matrix: a
+// truncated file, a flipped payload byte, and a stale index line must each
+// be dropped on startup, the damaged files unlinked, while every healthy
+// entry keeps serving.
+func TestCorruptionDroppedOnOpen(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
 	putN(t, s, 5)
@@ -253,12 +254,12 @@ func TestCorruptionQuarantine(t *testing.T) {
 		k, _, _ := mkKey(i)
 		got, ok := r.Get(k)
 		if !ok || !bytes.Equal(got, payloadFor(i)) {
-			t.Fatalf("healthy entry %d not served after quarantine: ok=%v", i, ok)
+			t.Fatalf("healthy entry %d not served after the scan: ok=%v", i, ok)
 		}
 	}
 	for _, k := range []Key{kTrunc, kFlip} {
-		if _, err := os.Stat(filepath.Join(dir, "quarantine", objName(k))); err != nil {
-			t.Fatalf("corrupt entry %x not quarantined: %v", k[:4], err)
+		if _, err := os.Stat(filepath.Join(dir, "objects", objName(k))); !os.IsNotExist(err) {
+			t.Fatalf("corrupt entry %x still in objects/ (err=%v)", k[:4], err)
 		}
 		if _, ok := r.Get(k); ok {
 			t.Fatalf("corrupt entry %x still served", k[:4])
@@ -266,10 +267,10 @@ func TestCorruptionQuarantine(t *testing.T) {
 	}
 }
 
-// TestGetQuarantinesRuntimeCorruption covers corruption that appears while
-// the store is open: the damaged read is a miss, the file is quarantined,
-// and subsequent lookups miss cleanly.
-func TestGetQuarantinesRuntimeCorruption(t *testing.T) {
+// TestGetDropsRuntimeCorruption covers corruption that appears while the
+// store is open: the damaged read is a miss, the file is unlinked, and
+// subsequent lookups miss cleanly.
+func TestGetDropsRuntimeCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)
 	defer s.Close()
@@ -291,8 +292,11 @@ func TestGetQuarantinesRuntimeCorruption(t *testing.T) {
 	if st.Corruptions != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v, want 1 corruption / 1 surviving entry", st)
 	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("damaged file still in objects/ (err=%v)", err)
+	}
 	if _, ok := s.Get(k); ok {
-		t.Fatal("quarantined entry resurrected")
+		t.Fatal("dropped entry resurrected")
 	}
 }
 
