@@ -60,7 +60,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	defer net.Close()
 	if err := ecss.Verify(g, res); err != nil {
 		return err
 	}

@@ -38,7 +38,7 @@
 // Usage:
 //
 //	ecssd [-addr :8080] [-queue 256] [-workers N] [-cache 512]
-//	      [-net-workers 1] [-drain-timeout 30s] [-debug-addr ADDR]
+//	      [-drain-timeout 30s] [-debug-addr ADDR]
 //	      [-store-dir DIR] [-store-max-bytes 268435456]
 //	      [-profile-rounds 512] [-slo-latency 2s]
 //	      [-faults "solve.stage:panic,p=0.01;store.fsync:error,p=0.05"]
@@ -78,7 +78,6 @@ func run() error {
 	queue := flag.Int("queue", 256, "job queue depth (admission bound)")
 	workers := flag.Int("workers", 0, "solver workers (<=0: GOMAXPROCS)")
 	cache := flag.Int("cache", 512, "result cache entries")
-	netWorkers := flag.Int("net-workers", 1, "engine workers per solve")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	storeDir := flag.String("store-dir", "", "disk-backed result store directory (empty: results are not persisted)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 256<<20, "on-disk store budget, LRU-evicted (<=0: unbounded)")
@@ -130,7 +129,6 @@ func run() error {
 		QueueDepth:    *queue,
 		Workers:       *workers,
 		CacheEntries:  *cache,
-		NetWorkers:    *netWorkers,
 		Store:         st, // service owns it: Drain flushes and closes
 		Obs:           o,
 		ProfileRounds: *profileRounds,
@@ -161,8 +159,8 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	cfg := svc.Config()
-	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d net-workers=%d)",
-		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries, cfg.NetWorkers)
+	log.Printf("ecssd: listening on %s (workers=%d queue=%d cache=%d)",
+		*addr, cfg.Workers, cfg.QueueDepth, cfg.CacheEntries)
 
 	select {
 	case err := <-errCh:

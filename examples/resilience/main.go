@@ -24,11 +24,10 @@ func main() {
 	}
 	mstW := g.TotalWeight(mstIDs)
 
-	res, net, err := ecss.Solve(g, ecss.DefaultOptions())
+	res, _, err := ecss.Solve(g, ecss.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.Close()
 	if err := ecss.Verify(g, res); err != nil {
 		log.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package congest
 
 import (
-	"runtime"
 	"testing"
 
 	"twoecss/internal/graph"
@@ -11,15 +10,13 @@ import (
 // static payloads, so every allocation the benchmarks report belongs to the
 // engine itself. BenchmarkRelayRing isolates per-round overhead with a tiny
 // active set (one live node per round); BenchmarkFloodGrid and
-// BenchmarkDenseGrid exercise the full routing/bandwidth-accounting path.
+// BenchmarkDenseGrid exercise the full delivery/bandwidth-accounting path.
 
 var floodPayload = []Word{7}
 
-func benchFlood(b *testing.B, workers int) {
+func BenchmarkFloodGrid(b *testing.B) {
 	g := graph.Grid(64, 64, graph.DefaultGenConfig(1))
 	net := NewNetwork(g)
-	defer net.Close()
-	net.Workers = workers
 	seen := make([]bool, g.N)
 	fresh := make([]bool, g.N)
 	out := make([][]Msg, g.N)
@@ -59,11 +56,6 @@ func benchFlood(b *testing.B, workers int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rounds), "ns/round")
 }
 
-func BenchmarkFloodGrid(b *testing.B) {
-	b.Run("workers=1", func(b *testing.B) { benchFlood(b, 1) })
-	b.Run("workers=max", func(b *testing.B) { benchFlood(b, runtime.GOMAXPROCS(0)) })
-}
-
 // BenchmarkRelayRing passes one token around a 256-ring for 16 laps per op:
 // 4096 rounds with a single scheduled node per round. The old engine paid an
 // O(N) schedule scan plus a map allocation every round here.
@@ -75,8 +67,6 @@ func BenchmarkRelayRing(b *testing.B) {
 		g.MustAddEdge(v, (v+1)%n, 1)
 	}
 	net := NewNetwork(g)
-	defer net.Close()
-	net.Workers = 1
 	hops := 0
 	out := make([]Msg, 0, 1)
 	handler := func(v int, inbox []Msg) ([]Msg, bool) {
@@ -104,11 +94,10 @@ func BenchmarkRelayRing(b *testing.B) {
 // BenchmarkDenseGrid keeps every node of a 32x32 grid active for 64 rounds,
 // sending one word on every incident edge per round: the worst case for the
 // bandwidth-accounting and delivery path.
-func benchDense(b *testing.B, workers int) {
+func BenchmarkDenseGrid(b *testing.B) {
 	const rounds = 64
 	g := graph.Grid(32, 32, graph.DefaultGenConfig(1))
 	net := NewNetwork(g)
-	net.Workers = workers
 	left := make([]int, g.N)
 	out := make([][]Msg, g.N)
 	for v := 0; v < g.N; v++ {
@@ -138,9 +127,4 @@ func benchDense(b *testing.B, workers int) {
 	b.StopTimer()
 	sim := net.Stats().SimulatedRounds
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sim), "ns/round")
-}
-
-func BenchmarkDenseGrid(b *testing.B) {
-	b.Run("workers=1", func(b *testing.B) { benchDense(b, 1) })
-	b.Run("workers=max", func(b *testing.B) { benchDense(b, runtime.GOMAXPROCS(0)) })
 }

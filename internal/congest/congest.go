@@ -6,28 +6,22 @@
 // The engine simulates algorithms at message level: a primitive supplies a
 // per-node Handler; the engine delivers messages round by round, enforces
 // the per-edge-per-round bandwidth budget (counted in O(log n)-bit words),
-// and accumulates round and message statistics. Node handlers run
-// concurrently on a goroutine worker pool with a barrier per round, which
-// both exploits the per-node structure of CONGEST algorithms and enforces
-// the discipline that a handler may only touch its own node state.
+// and accumulates round and message statistics. A round runs its handlers
+// one after another on the calling goroutine. A handler may touch only its
+// own node's state, so the order in which a round runs them must never
+// change a result; the congestcheck build checks this by running every
+// round in a seeded permutation of its schedule.
 //
 // Some sub-routines the paper cites from prior work (MST construction, LCA
 // labels, segment decomposition construction) are not re-proved there; for
 // those the engine provides Charge, an analytic round bill recorded
 // separately from simulated rounds. DESIGN.md lists which component uses
 // which channel.
-//
-// Lifecycle: a Network that executed parallel rounds owns a persistent
-// worker pool reused across Run calls. Call Network.Close when done with a
-// Network to release the pool goroutines deterministically; a GC cleanup
-// reclaims the pool of a Network dropped without Close. Networks with
-// Workers == 1 never spawn a pool and need no Close.
 package congest
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync/atomic"
 
 	"twoecss/internal/graph"
@@ -53,7 +47,11 @@ func (m Msg) To(g *graph.Graph) int { return g.Edges[m.EdgeID].Other(m.From) }
 // Handler is the per-round logic of one node: it receives the messages
 // delivered to node v this round and returns the messages v sends next
 // round plus whether v still wants to be scheduled while silent.
-// A handler must only access state belonging to node v. An empty inbox is
+// A handler must only access state belonging to node v. The engine runs a
+// round's handlers in ascending node order; a build with the congestcheck
+// tag runs them in a seeded permutation of that order, and every test must
+// then give the same bytes, so a handler that reads or writes another
+// node's state within a round shows up as a failing test. An empty inbox is
 // always nil, even though the engine keeps presized inbox buffers, so a
 // handler may test inbox == nil for "no mail this round".
 type Handler func(v int, inbox []Msg) (outbox []Msg, active bool)
@@ -103,8 +101,9 @@ type Network struct {
 	// constant number of O(log n)-bit fields (ids, weights, counters);
 	// the default budget is 8 words.
 	WordsPerEdge int
-	// Workers is the size of the goroutine pool used to run node handlers
-	// (defaults to GOMAXPROCS). Set to 1 for fully sequential execution.
+	// Workers has no effect: every round runs on the calling goroutine.
+	//
+	// Deprecated: nothing reads it; it remains until the last caller drops it.
 	Workers int
 	// Observer, when non-nil, receives one RoundSample per simulated round
 	// (see RoundRecorder for the bounded default). It must not be changed
@@ -116,37 +115,26 @@ type Network struct {
 	phases  []PhaseSpan
 	open    []openPhase // stack of phases begun but not yet ended
 	sc      *scratch    // engine buffers, recycled across Run calls
-	pool    *pool       // persistent worker pool; see Close
 	running atomic.Bool // guards re-entrant/concurrent Run on shared scratch
 }
 
 // NewNetwork returns a network over g with the default eight-word budget.
-// A Network whose Runs executed parallel rounds owns a worker pool that
-// persists across Run calls; call Close when done with the Network to
-// release it (a GC cleanup eventually reclaims the pool of a Network
-// dropped without Close, but explicit Close is deterministic).
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{G: g, WordsPerEdge: 8, Workers: runtime.GOMAXPROCS(0)}
+	return &Network{G: g, WordsPerEdge: 8}
 }
 
-// Close releases the Network's persistent worker-pool goroutines. It is
-// idempotent and a no-op for networks that never ran a parallel round; it
-// must not be called concurrently with Run. The Network must not be used
-// after Close (a later Run would spawn a fresh pool, which works but
-// defeats the point).
-func (n *Network) Close() {
-	if n.pool != nil {
-		n.pool.close()
-		n.pool = nil
-	}
-}
+// Close does nothing: a Network holds only memory.
+//
+// Deprecated: there is nothing to release; it remains until the last
+// caller drops it.
+func (n *Network) Close() {}
 
 // Stats returns a copy of the accumulated statistics.
 func (n *Network) Stats() Stats { return n.stats }
 
 // ResetAccounting zeroes the Network's cost accounting — stats, recorded
 // phase spans, and any phases left open — while keeping the engine scratch
-// and the persistent worker pool warm. It exists for callers that run
+// warm. It exists for callers that run
 // repeated solves on one Network, such as the benchmark's armed/disarmed
 // observer pairs: each solve then reports its own round and message bill
 // as if the Network were fresh. It must not be called concurrently with Run.

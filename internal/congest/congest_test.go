@@ -3,7 +3,6 @@ package congest
 import (
 	"cmp"
 	"errors"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -126,7 +125,6 @@ func TestChargeAndPhases(t *testing.T) {
 	// Nested phases: spans are recorded in open order, an enclosing span
 	// bills everything nested in it, and words are attributed like rounds.
 	net = NewNetwork(pathGraph(3))
-	net.Workers = 1
 	ping := func(v int, inbox []Msg) ([]Msg, bool) {
 		if v == 0 && inbox == nil {
 			return []Msg{{EdgeID: 0, From: 0, Data: []Word{1, 2, 3}}}, false
@@ -187,56 +185,26 @@ func TestAnalyticBills(t *testing.T) {
 	}
 }
 
-func TestParallelDeterminism(t *testing.T) {
-	// The worker pool must not change results: run a flood twice with
-	// different worker counts and compare stats.
-	run := func(workers int) Stats {
-		g := graph.Grid(12, 12, graph.DefaultGenConfig(3))
-		net := NewNetwork(g)
-		defer net.Close()
-		net.Workers = workers
-		seen := make([]bool, g.N)
-		seen[0] = true
-		fresh := make([]bool, g.N)
-		fresh[0] = true
-		handler := func(v int, inbox []Msg) ([]Msg, bool) {
-			if len(inbox) > 0 && !seen[v] {
-				seen[v] = true
-				fresh[v] = true
-			}
-			if fresh[v] {
-				fresh[v] = false
-				var out []Msg
-				for _, id := range g.Incident(v) {
-					out = append(out, Msg{EdgeID: id, From: v, Data: []Word{7}})
-				}
-				return out, false
-			}
-			return nil, false
-		}
-		if err := net.Run(handler, []int{0}, 1000); err != nil {
-			t.Fatal(err)
-		}
-		return net.Stats()
-	}
-	a, b := run(1), run(8)
-	if a.SimulatedRounds != b.SimulatedRounds || a.Messages != b.Messages {
-		t.Fatalf("parallel execution changed behaviour: %+v vs %+v", a, b)
-	}
+// setPermute turns the schedule permutation of the congestcheck build on
+// or off for the rest of the test.
+func setPermute(t *testing.T, on bool) {
+	t.Helper()
+	old := permuteSchedule
+	permuteSchedule = on
+	t.Cleanup(func() { permuteSchedule = old })
 }
 
-// TestShardedDeliveryDeterminism guards the parallel routing path: a
-// sequential run and a fully parallel run of the same seeded gossip
-// workload must produce identical Stats and identical final node state.
-// Every node folds its inbox into an order-sensitive hash, so any change in
-// inbox order or content across worker counts fails the test.
-func TestShardedDeliveryDeterminism(t *testing.T) {
+// TestParallelDeterminism runs a seeded gossip in ascending and in
+// permuted handler order. Its handlers keep to their own node's state, so
+// both orders must give identical Stats and final node state. Every node
+// folds its inbox into an order-sensitive hash, so any change in inbox
+// order or content fails the test.
+func TestParallelDeterminism(t *testing.T) {
 	const rounds = 40
-	run := func(workers int) (Stats, []int64) {
+	run := func(permuted bool) (Stats, []int64) {
+		setPermute(t, permuted)
 		g := graph.RandomSpanningTreePlus(300, 600, graph.DefaultGenConfig(7))
 		net := NewNetwork(g)
-		defer net.Close()
-		net.Workers = workers
 		state := make([]int64, g.N)
 		left := make([]int, g.N)
 		for v := range left {
@@ -264,32 +232,53 @@ func TestShardedDeliveryDeterminism(t *testing.T) {
 		}
 		return net.Stats(), state
 	}
-	// A fixed pool size keeps the parallel engine paths exercised even on a
-	// single-CPU machine, where GOMAXPROCS would degenerate to 1 worker.
-	parWorkers := runtime.GOMAXPROCS(0)
-	if parWorkers < 4 {
-		parWorkers = 4
+	ascStats, ascState := run(false)
+	permStats, permState := run(true)
+	if ascStats != permStats {
+		t.Fatalf("stats diverge:\n ascending %+v\n permuted  %+v", ascStats, permStats)
 	}
-	seqStats, seqState := run(1)
-	parStats, parState := run(parWorkers)
-	if seqStats != parStats {
-		t.Fatalf("stats diverge:\n seq %+v\n par %+v", seqStats, parStats)
+	if !slices.Equal(ascState, permState) {
+		t.Fatal("node state depends on handler order")
 	}
-	for v := range seqState {
-		if seqState[v] != parState[v] {
-			t.Fatalf("node %d state diverges: %d vs %d", v, seqState[v], parState[v])
-		}
-	}
-	if seqStats.Messages == 0 {
+	if ascStats.Messages == 0 {
 		t.Fatal("workload sent no messages")
 	}
 }
 
-// TestParallelErrorDeterminism guards the cross-worker error merge: when
-// several scheduled nodes misbehave in the same round, the reported error
-// must be the one with the smallest (sender, outbox index) for any worker
-// count. The graph is large enough (>= parallelSchedMin scheduled nodes)
-// that the parallel handler phase actually runs.
+// TestPermutedOrderExposesNonLocalHandler is the check's self-test: a
+// handler that reads a neighbour's state written in the same round must
+// give a different result under the permutation than in ascending order.
+// If the permutation ever became a no-op, this test would fail.
+func TestPermutedOrderExposesNonLocalHandler(t *testing.T) {
+	run := func(permuted bool) []int64 {
+		setPermute(t, permuted)
+		g := pathGraph(100)
+		net := NewNetwork(g)
+		depth := make([]int64, g.N)
+		handler := func(v int, inbox []Msg) ([]Msg, bool) {
+			if v > 0 {
+				depth[v] = depth[v-1] + 1 // breaks locality: reads node v-1
+			}
+			return nil, false
+		}
+		if err := net.Run(handler, nil, 10); err != nil {
+			t.Fatal(err)
+		}
+		return depth
+	}
+	asc, perm := run(false), run(true)
+	if asc[len(asc)-1] != int64(len(asc)-1) {
+		t.Fatalf("ascending order: depth of the last node %d, want %d", asc[len(asc)-1], len(asc)-1)
+	}
+	if slices.Equal(asc, perm) {
+		t.Fatal("permuted handler order gave the ascending result for a non-local handler")
+	}
+}
+
+// TestParallelErrorDeterminism guards the error contract: when several
+// scheduled nodes misbehave in the same round, the reported error must be
+// the one with the smallest (sender, outbox index), in ascending and in
+// permuted handler order.
 func TestParallelErrorDeterminism(t *testing.T) {
 	const n = 100
 	for _, tc := range []struct {
@@ -316,11 +305,10 @@ func TestParallelErrorDeterminism(t *testing.T) {
 		},
 	} {
 		var errs [2]error
-		for i, workers := range []int{1, 8} {
+		for i, permuted := range []bool{false, true} {
+			setPermute(t, permuted)
 			g := pathGraph(n)
 			net := NewNetwork(g)
-			defer net.Close()
-			net.Workers = workers
 			handler := func(v int, inbox []Msg) ([]Msg, bool) {
 				if v == tc.badat[0] || v == tc.badat[1] {
 					return tc.bad(v), false
@@ -329,11 +317,11 @@ func TestParallelErrorDeterminism(t *testing.T) {
 			}
 			errs[i] = net.Run(handler, nil, 10)
 			if errs[i] == nil {
-				t.Fatalf("%s workers=%d: no error", tc.name, workers)
+				t.Fatalf("%s permuted=%v: no error", tc.name, permuted)
 			}
 		}
 		if errs[0].Error() != errs[1].Error() {
-			t.Fatalf("%s: error depends on worker count:\n seq: %v\n par: %v",
+			t.Fatalf("%s: error depends on handler order:\n ascending: %v\n permuted:  %v",
 				tc.name, errs[0], errs[1])
 		}
 		if !strings.Contains(errs[0].Error(), tc.wantSub) {
@@ -366,9 +354,8 @@ func TestRunRecyclesAcrossCalls(t *testing.T) {
 		}
 	}
 	run() // warm up the scratch buffers
-	// Steady state: the only per-Run allocation left is the engine struct.
-	if allocs := testing.AllocsPerRun(5, run); allocs > 2 {
-		t.Fatalf("steady-state Run allocated %.1f objects, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Fatalf("steady-state Run allocated %.1f objects, want 0", allocs)
 	}
 	if got := net.Stats().Messages; got != int64(runs) {
 		t.Fatalf("messages = %d, want %d", got, runs)
@@ -385,6 +372,9 @@ func TestRunRecyclesAcrossCalls(t *testing.T) {
 // first. Handlers must still run in strictly ascending node order in every
 // round, however many nodes it schedules.
 func TestWorklistAscendingDenseAndSparse(t *testing.T) {
+	if permuteSchedule {
+		t.Skip("the congestcheck build runs handlers in permuted order")
+	}
 	const n = 256
 	hub := n - 1
 	g := graph.New(n)
@@ -392,7 +382,6 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 		g.MustAddEdge(v, hub, 1) // edge v joins leaf v to the hub
 	}
 	net := NewNetwork(g)
-	net.Workers = 1
 	const lastSend = 9
 	var ran [][]int // ran[r-1] lists the handler calls of round r in order
 	handler := func(v int, inbox []Msg) ([]Msg, bool) {
@@ -448,15 +437,16 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 // sender's outbox order. Two senders each reach the receiver over three
 // parallel edges and send in descending edge order, twice on the middle
 // edge. In the large variant every node runs in round 1 and the rest flood
-// the path (enough nodes for the pool and enough messages for the sharded
-// route at four workers); the receiver runs after the senders in that round
-// and must not see their messages until round 2. In the small variant only
-// the senders run.
+// the path; the receiver runs after the senders in that round (in
+// ascending order) and must not see their messages until round 2. In the
+// small variant only the senders run. Both variants also run in permuted
+// handler order, where senders deliver out of order.
 func TestInboxOrderOverParallelEdges(t *testing.T) {
 	const n, recv = 128, 100
 	senders := []int{3, 7}
 	for _, large := range []bool{true, false} {
-		for _, workers := range []int{1, 4} {
+		for _, permuted := range []bool{false, true} {
+			setPermute(t, permuted)
 			g := pathGraph(n) // edge v-1 joins v-1 and v
 			par := map[int][]int{}
 			for _, s := range senders {
@@ -465,7 +455,6 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 				}
 			}
 			net := NewNetwork(g)
-			net.Workers = workers
 			outs := make([][]Msg, n)
 			var got [][]Msg // got[r-1] is the receiver's inbox in round r
 			handler := func(v int, inbox []Msg) ([]Msg, bool) {
@@ -505,7 +494,6 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 			if err := net.Run(handler, start, 10); err != nil {
 				t.Fatal(err)
 			}
-			net.Close()
 			// The reference order: every message to the receiver, senders
 			// ascending and each in outbox order, stably sorted.
 			var want []Msg
@@ -520,15 +508,82 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 				return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.EdgeID, b.EdgeID))
 			})
 			if len(got) < 2 || len(got[0]) != 0 {
-				t.Fatalf("large=%v workers=%d: receiver inboxes %v, want an empty one in round 1 and then its messages", large, workers, got)
+				t.Fatalf("large=%v permuted=%v: receiver inboxes %v, want an empty one in round 1 and then its messages", large, permuted, got)
 			}
 			if !slices.EqualFunc(got[1], want, func(a, b Msg) bool {
 				return a.EdgeID == b.EdgeID && a.From == b.From && a.Data[0] == b.Data[0]
 			}) {
-				t.Fatalf("large=%v workers=%d: inbox\n %v\nwant\n %v", large, workers, got[1], want)
+				t.Fatalf("large=%v permuted=%v: inbox\n %v\nwant\n %v", large, permuted, got[1], want)
 			}
 			if len(want) < 8 {
-				t.Fatalf("large=%v workers=%d: only %d messages to the receiver", large, workers, len(want))
+				t.Fatalf("large=%v permuted=%v: only %d messages to the receiver", large, permuted, len(want))
+			}
+		}
+	}
+}
+
+func TestIsqrt(t *testing.T) {
+	cases := []struct {
+		n    int
+		want int64
+	}{
+		{-5, 0},
+		{0, 0},
+		{1, 1},
+		{2, 2},
+		{3, 2},
+		{4, 2},
+		{5, 3},
+		{8, 3},
+		{9, 3},
+		{10, 4},
+		{15, 4},
+		{16, 4},
+		{17, 5},
+		{24, 5},
+		{25, 5},
+		{26, 6},
+		{1 << 20, 1 << 10},
+		{(1 << 20) + 1, (1 << 10) + 1},
+		{(1 << 31) - 1, 46341},
+		{1 << 62, 1 << 31},
+		{(1 << 62) - 1, 1 << 31},
+		{(1 << 62) + 1, (1 << 31) + 1},
+	}
+	for _, c := range cases {
+		if got := isqrt(c.n); got != c.want {
+			t.Errorf("isqrt(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+	// Exhaustive cross-check against the seed's counting loop on a dense
+	// small range plus the perfect squares around every power of two.
+	slow := func(n int) int64 {
+		if n <= 0 {
+			return 0
+		}
+		x := int64(1)
+		for x*x < int64(n) {
+			x++
+		}
+		return x
+	}
+	for n := 0; n <= 1<<12; n++ {
+		if got, want := isqrt(n), slow(n); got != want {
+			t.Fatalf("isqrt(%d) = %d, want %d", n, got, want)
+		}
+	}
+	for k := 1; k <= 30; k++ {
+		r := int64(1) << k
+		for _, n := range []int64{r*r - 1, r * r, r*r + 1} {
+			want := r
+			if n > r*r {
+				want = r + 1
+			}
+			if n == r*r-1 {
+				want = r
+			}
+			if got := isqrt(int(n)); got != want {
+				t.Fatalf("isqrt(%d) = %d, want %d", n, got, want)
 			}
 		}
 	}

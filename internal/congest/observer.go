@@ -32,17 +32,15 @@ type RoundSample struct {
 	// words — the busiest sender's congestion.
 	MaxNodeWords int64
 	// HandlerNs and RouteNs split the round's wall time. HandlerNs is the
-	// handler phase: node logic and bandwidth accounting, plus delivery
-	// when the phase ran on one goroutine. RouteNs is the rest: the
-	// sharded route after a pooled handler phase, else only end-of-round
-	// bookkeeping.
+	// handler phase: node logic, bandwidth accounting and delivery.
+	// RouteNs is the rest, the end-of-round bookkeeping.
 	HandlerNs int64
 	RouteNs   int64
 }
 
 // RoundObserver receives one RoundSample per simulated round from
 // Network.Run. Implementations must be cheap and must not call back into
-// the Network: they run synchronously on the round barrier.
+// the Network: they run synchronously at the end of each round.
 type RoundObserver interface {
 	ObserveRound(s RoundSample)
 }

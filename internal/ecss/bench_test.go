@@ -6,7 +6,7 @@ import (
 	"twoecss/internal/graph"
 )
 
-// BenchmarkSolveLarge times one single-worker solve of an n=4096 instance
+// BenchmarkSolveLarge times one solve of an n=4096 instance
 // per iteration. Its allocation count tracks the tap set-up, whose cover
 // structure decides how far a cold solve scales.
 func BenchmarkSolveLarge(b *testing.B) {
@@ -17,7 +17,6 @@ func BenchmarkSolveLarge(b *testing.B) {
 		}
 		b.Run(family+"/n=4096", func(b *testing.B) {
 			opt := DefaultOptions()
-			opt.Workers = 1
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := Solve(g, opt); err != nil {
@@ -29,7 +28,7 @@ func BenchmarkSolveLarge(b *testing.B) {
 }
 
 // BenchmarkSolveCold times the solve a cold request pays: one
-// single-worker Solve plus Verify of an n=256 instance on a fresh network,
+// Solve plus Verify of an n=256 instance on a fresh network,
 // over the five families round-robin.
 func BenchmarkSolveCold(b *testing.B) {
 	var gs []*graph.Graph
@@ -41,16 +40,14 @@ func BenchmarkSolveCold(b *testing.B) {
 		gs = append(gs, g)
 	}
 	opt := DefaultOptions()
-	opt.Workers = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := gs[i%len(gs)]
-		res, net, err := Solve(g, opt)
+		res, _, err := Solve(g, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		net.Close()
 		if err := Verify(g, res); err != nil {
 			b.Fatal(err)
 		}

@@ -41,18 +41,18 @@ type Options struct {
 	MST MSTMode
 	// Root is the vertex the BFS and spanning trees are rooted at.
 	Root int
-	// Workers sets the engine worker-pool size of the network Solve
-	// creates (<=0: GOMAXPROCS). Callers that already parallelize above
-	// the engine — like the experiment harness — set 1.
+	// Workers has no effect: the engine runs every round on the solving
+	// goroutine.
+	//
+	// Deprecated: nothing reads it; it remains until the last caller drops it.
 	Workers int
 	// Progress, if non-nil, is invoked at the start of each pipeline stage
 	// ("bfs", "mst", "tap", "assemble") from the solving goroutine. It only
 	// notifies: each stage's cost is its depth-0 span in net.Phases(), and
 	// the previous stage's span is closed by the time Progress runs. The
-	// service layer uses it to surface per-job progress. Like Workers it is
-	// an execution knob, not part of result identity: the engine is
-	// deterministic for any worker count, so content-addressed caches key
-	// on the remaining fields only.
+	// service layer uses it to surface per-job progress. It is an
+	// execution knob, not part of result identity, so content-addressed
+	// caches key on the remaining fields only.
 	Progress func(stage string)
 }
 
@@ -86,16 +86,13 @@ type Result struct {
 var ErrNot2EC = errors.New("ecss: input graph is not 2-edge-connected")
 
 // Solve runs the full pipeline of Theorem 1.1 on g and returns the solution
-// together with the network used (for round accounting inspection). The
-// caller owns the returned network and should Close it when done (see the
-// congest package docs on the worker-pool lifecycle). Callers that need the
-// network while it solves — to arm a round observer, or to read phase spans
-// from Progress — use SolveOn directly.
+// together with the network used (for round accounting inspection).
+// Callers that need the network while it solves — to arm a round
+// observer, or to read phase spans from Progress — use SolveOn directly.
 func Solve(g *graph.Graph, opt Options) (*Result, *congest.Network, error) {
 	net := congest.NewNetwork(g)
 	res, err := SolveOn(net, opt)
 	if err != nil {
-		net.Close()
 		return nil, nil, err
 	}
 	return res, net, nil
@@ -119,9 +116,6 @@ func SolveOn(net *congest.Network, opt Options) (*Result, error) {
 	}
 	if g.N < 3 {
 		return nil, fmt.Errorf("ecss: need at least 3 vertices")
-	}
-	if opt.Workers > 0 {
-		net.Workers = opt.Workers
 	}
 	// enter ends the running stage's phase, announces the next stage, and
 	// opens its phase.

@@ -162,12 +162,10 @@ func TestStageSpans(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := DefaultOptions()
-			opt.Workers = 1
 			opt.MST = tc.mst
 			var progress []string
 			var seen []congest.PhaseSpan // the last stage span each Progress call saw
 			net := congest.NewNetwork(g)
-			defer net.Close()
 			opt.Progress = func(stage string) {
 				progress = append(progress, stage)
 				ph := net.Phases()
@@ -227,66 +225,5 @@ func TestStageSpans(t *testing.T) {
 				t.Fatal("bfs stage billed zero simulated rounds")
 			}
 		})
-	}
-}
-
-// countRounds tallies the rounds an engine schedules at least 64 nodes in
-// (the size at which a pool runs the handler phase) and the rest.
-type countRounds struct{ large, small int }
-
-func (c *countRounds) ObserveRound(s congest.RoundSample) {
-	if s.Active >= 64 {
-		c.large++
-	} else {
-		c.small++
-	}
-}
-
-// TestSolveSameForAnyEngineWorkers solves each family at n=256 under both
-// MST modes with one engine worker and with four. At this size some rounds
-// schedule enough nodes to run on the pool and route sharded, and the rest
-// run in one pass on one goroutine; the solution, its bill and every phase
-// span must not depend on which.
-func TestSolveSameForAnyEngineWorkers(t *testing.T) {
-	for _, family := range []string{"er", "grid", "ring", "random", "ba"} {
-		g, err := graph.ByFamily(family, 256, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []MSTMode{MSTChargeKuttenPeleg, MSTSimulateBoruvka} {
-			var res [2]*Result
-			var phases [2][]congest.PhaseSpan
-			for i, workers := range []int{1, 4} {
-				net := congest.NewNetwork(g)
-				rounds := &countRounds{}
-				net.Observer = rounds
-				opt := DefaultOptions()
-				opt.MST = mode
-				opt.Workers = workers
-				res[i], err = SolveOn(net, opt)
-				net.Close()
-				if err != nil {
-					t.Fatalf("%s mst=%d workers=%d: %v", family, mode, workers, err)
-				}
-				if err := Verify(g, res[i]); err != nil {
-					t.Fatalf("%s mst=%d workers=%d: %v", family, mode, workers, err)
-				}
-				if rounds.large == 0 || rounds.small == 0 {
-					t.Fatalf("%s mst=%d: %d rounds of >= 64 nodes and %d smaller, want both",
-						family, mode, rounds.large, rounds.small)
-				}
-				phases[i] = net.Phases()
-			}
-			a, b := res[0], res[1]
-			if !slices.Equal(a.Edges, b.Edges) || a.Weight != b.Weight ||
-				a.LowerBound != b.LowerBound || a.Stats != b.Stats {
-				t.Fatalf("%s mst=%d: workers 1 and 4 differ:\n %d edges, weight %d, lb %v, %+v\n %d edges, weight %d, lb %v, %+v",
-					family, mode, len(a.Edges), a.Weight, a.LowerBound, a.Stats,
-					len(b.Edges), b.Weight, b.LowerBound, b.Stats)
-			}
-			if !slices.Equal(phases[0], phases[1]) {
-				t.Fatalf("%s mst=%d: phase spans differ:\n %+v\n %+v", family, mode, phases[0], phases[1])
-			}
-		}
 	}
 }

@@ -13,25 +13,11 @@ import (
 	"sync/atomic"
 
 	"twoecss/internal/congest"
-	"twoecss/internal/graph"
 )
 
 // Workers is the size of the worker pool used to evaluate experiment cells;
 // <=0 means GOMAXPROCS. cmd/bench exposes it as -workers.
 var Workers = 0
-
-// newNetwork returns the network for one experiment cell. The engine
-// always runs sequentially inside the harness: cell-level parallelism is
-// the only parallelism here, so timings are comparable across
-// -workers settings and nested engine pools never oversubscribe the
-// machine. Engine parallelism is measured separately by the
-// internal/congest microbenchmarks. Workers == 1 also means these
-// networks never spawn a worker pool, so no Close is needed per cell.
-func newNetwork(g *graph.Graph) *congest.Network {
-	net := congest.NewNetwork(g)
-	net.Workers = 1
-	return net
-}
 
 func poolSize(cells int) int {
 	w := Workers

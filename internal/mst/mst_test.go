@@ -169,33 +169,39 @@ func TestUnionFind(t *testing.T) {
 	}
 }
 
-// TestBoruvkaWorkersAgree runs Borůvka sequentially and on a four-worker
-// pool: every handler touches only its own vertex's state, so the edges
-// and the whole cost bill must match. The instances are large enough
-// (n >= 64 scheduled vertices) for the engine's parallel rounds to run.
+// TestBoruvkaWorkersAgree pins the edges and the whole cost bill of
+// Borůvka on three n=200 instances. Every handler touches only its own
+// vertex's state, so the congestcheck build, which runs each round's
+// handlers in a permuted order, must reproduce the same pins.
 func TestBoruvkaWorkersAgree(t *testing.T) {
-	for _, f := range []string{"er", "grid", "ba"} {
-		g, err := graph.ByFamily(f, 200, 5)
+	for _, tc := range []struct {
+		family string
+		want   congest.Stats
+	}{
+		{"er", congest.Stats{SimulatedRounds: 535, Messages: 110129, Words: 254652, MaxEdgeWords: 3}},
+		{"grid", congest.Stats{SimulatedRounds: 921, Messages: 98558, Words: 245736, MaxEdgeWords: 3}},
+		{"ba", congest.Stats{SimulatedRounds: 534, Messages: 94685, Words: 234384, MaxEdgeWords: 3}},
+	} {
+		g, err := graph.ByFamily(tc.family, 200, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(workers int) ([]int, congest.Stats) {
-			net := congest.NewNetwork(g)
-			net.Workers = workers
-			defer net.Close()
-			ids, err := Boruvka(net, 0)
-			if err != nil {
-				t.Fatalf("%s, %d workers: %v", f, workers, err)
-			}
-			return ids, net.Stats()
+		net := congest.NewNetwork(g)
+		ids, err := Boruvka(net, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.family, err)
 		}
-		seqIDs, seqStats := run(1)
-		parIDs, parStats := run(4)
-		if !slices.Equal(seqIDs, parIDs) {
-			t.Fatalf("%s: 4 workers chose different edges than 1", f)
+		kr, err := Kruskal(g)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seqStats != parStats {
-			t.Fatalf("%s: stats with 4 workers %+v, with 1 %+v", f, parStats, seqStats)
+		slices.Sort(ids)
+		slices.Sort(kr)
+		if !slices.Equal(ids, kr) {
+			t.Fatalf("%s: Borůvka chose other edges than Kruskal", tc.family)
+		}
+		if st := net.Stats(); st != tc.want {
+			t.Errorf("%s: stats %#v, want %#v", tc.family, st, tc.want)
 		}
 	}
 }

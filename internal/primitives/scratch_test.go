@@ -79,7 +79,6 @@ func TestHandlersRunOnlyWithWork(t *testing.T) {
 			g = graph.RandomSpanningTreePlus(n, n/2, cfg)
 		}
 		net := congest.NewNetwork(g)
-		net.Workers = 1
 		rt, err := BuildBFS(net, root)
 		if err != nil {
 			t.Fatal(err)
@@ -132,7 +131,6 @@ func TestHandlersRunOnlyWithWork(t *testing.T) {
 			_, err := SubtreeAggregate(net, rt, &sc, x, sum)
 			return err
 		})
-		net.Close()
 	}
 }
 

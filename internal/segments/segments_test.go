@@ -231,7 +231,6 @@ func aggregatorOn(t *testing.T, rt *tree.Rooted) *Aggregator {
 		t.Fatal(err)
 	}
 	net := congest.NewNetwork(rt.G)
-	t.Cleanup(net.Close)
 	bfs, err := primitives.BuildBFS(net, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +394,6 @@ func TestDecompositionQuick(t *testing.T) {
 // recycles its buffers.
 func TestAggregatorSteadyStateAllocs(t *testing.T) {
 	a, vg, _ := buildAggregator(t, 15, 120, 160)
-	a.Net.Workers = 1
 	value := func(c int) congest.Word { return congest.Word(c) }
 	contribute := func(ve int) (congest.Word, bool) { return congest.Word(vg.VEdges[ve].W), ve%4 != 0 }
 	sum := func(x, y congest.Word) congest.Word { return x + y }

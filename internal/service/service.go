@@ -39,10 +39,6 @@ type Config struct {
 	// the default 512; negative disables caching — results then live only
 	// on their job).
 	CacheEntries int
-	// NetWorkers is the engine worker-pool size used per solve (default 1:
-	// parallelism lives at the job level, matching the experiment harness
-	// convention).
-	NetWorkers int
 	// Store, when non-nil, is the disk-backed result store the in-memory
 	// cache writes through to. Memory-cache misses fall back to the store
 	// before solving, so a restart serves stored results on first request,
@@ -75,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = 512
-	}
-	if c.NetWorkers <= 0 {
-		c.NetWorkers = 1
 	}
 	if c.ProfileRounds == 0 {
 		c.ProfileRounds = 512
@@ -381,7 +374,6 @@ func (s *Service) submit(n int, ghash [32]byte, build func() (*graph.Graph, erro
 	if adm.Priority < 0 || adm.Priority >= numPriorities {
 		return nil, false, fmt.Errorf("service: priority %d out of range", adm.Priority)
 	}
-	opt.Workers = s.cfg.NetWorkers
 	opt.Progress = nil
 	key := keyFor(ghash, opt)
 
@@ -647,7 +639,6 @@ func (s *Service) runJob(j *Job) {
 // has no closed span and bills zero.
 func (s *Service) solveOnce(j *Job, g *graph.Graph, opt ecss.Options, rec *congest.RoundRecorder) (raw []byte, stages []StageCost, err error) {
 	net := congest.NewNetwork(g)
-	defer net.Close()
 	var stage string // the stage SolveOn last entered, until closed
 	var stageStart time.Time
 	var stageEnded bool // stage's span is closed on net

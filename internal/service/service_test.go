@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -293,32 +292,6 @@ func drain(t *testing.T, s *Service) {
 	defer cancel()
 	if err := s.Drain(ctx); err != nil && err.Error() != "service: already draining" {
 		t.Fatalf("drain: %v", err)
-	}
-}
-
-// TestFinishedSolveReleasesEngineWorkers checks that a finished solve
-// leaves no engine goroutines behind: each solve's network runs parallel
-// rounds on its own worker pool and is closed when the solve ends, so the
-// goroutine count returns to its post-New baseline before Drain.
-func TestFinishedSolveReleasesEngineWorkers(t *testing.T) {
-	s := New(Config{Workers: 1, NetWorkers: 4})
-	defer drain(t, s)
-	base := runtime.NumGoroutine()
-	j, _, err := s.Submit(graph.Grid(16, 16, graph.DefaultGenConfig(1)), ecss.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitJob(t, j)
-	if snap := s.snapshot(j); snap.Status != StatusDone {
-		t.Fatalf("job %+v, want done", snap)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the solve finished, want at most the post-New %d",
-				runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

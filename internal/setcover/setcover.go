@@ -140,7 +140,7 @@ func (s *Solver) Solve(opt Options) (*Result, error) {
 		res.Phases++
 		// Cost-effectiveness of every edge w.r.t. marked edges
 		// (Lemma 5.5 tool call bills the rounds).
-		counts, err := s.coverCounts(marked)
+		counts, err := s.Tools.CoverCount(marked)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (s *Solver) Solve(opt Options) (*Result, error) {
 		// Fallback: if eligible edges remain after the sampling budget,
 		// commit the single most cost-effective one (a sequential greedy
 		// step) to guarantee progress, then recompute.
-		counts, err = s.coverCounts(marked)
+		counts, err = s.Tools.CoverCount(marked)
 		if err != nil {
 			return nil, err
 		}
@@ -221,26 +221,16 @@ func (s *Solver) Solve(opt Options) (*Result, error) {
 	return res, nil
 }
 
-func (s *Solver) coverCounts(marked []bool) ([]int, error) {
-	m, err := s.Tools.CoverCount(marked)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([]int, len(s.nonTree))
-	for j, id := range s.nonTree {
-		counts[j] = m[id]
-	}
-	return counts, nil
-}
-
+// effectiveness is non-tree edge j's cost-effectiveness. counts is the
+// cover table of Tools.CoverCount, indexed by graph edge id.
 func (s *Solver) effectiveness(j int, counts []int) float64 {
-	return float64(counts[j]) / float64(s.weights[j])
+	return float64(counts[s.nonTree[j]]) / float64(s.weights[j])
 }
 
 func (s *Solver) eligible(counts []int, chosen []bool, delta, eps float64) []int {
 	var out []int
 	for j := range s.nonTree {
-		if chosen[j] || counts[j] == 0 {
+		if chosen[j] || counts[s.nonTree[j]] == 0 {
 			continue
 		}
 		if s.effectiveness(j, counts) >= delta*(1-eps) {
@@ -253,7 +243,7 @@ func (s *Solver) eligible(counts []int, chosen []bool, delta, eps float64) []int
 func (s *Solver) bestEdge(counts []int, chosen []bool) int {
 	best, bestEff := -1, 0.0
 	for j := range s.nonTree {
-		if chosen[j] || counts[j] == 0 {
+		if chosen[j] || counts[s.nonTree[j]] == 0 {
 			continue
 		}
 		if eff := s.effectiveness(j, counts); eff > bestEff {

@@ -23,15 +23,13 @@ type aggPin struct {
 // aggFixture builds an E4-style network (the family at n, a Kruskal tree
 // for the hierarchy, the named builder) and one plan per hierarchy level
 // above the leaves, exactly as Tools.billLevels iterates them.
-func aggFixture(tb testing.TB, fam string, n int, builder string, workers int) (*congest.Network, []*AggPlan) {
+func aggFixture(tb testing.TB, fam string, n int, builder string) (*congest.Network, []*AggPlan) {
 	tb.Helper()
 	g, err := graph.ByFamily(fam, n, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	net := congest.NewNetwork(g)
-	net.Workers = workers
-	tb.Cleanup(net.Close)
 	bfs, err := primitives.BuildBFS(net, 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -92,8 +90,7 @@ func digestWords(ws []Word) uint64 {
 // hierarchy level of two E4 fixtures under both E4 builders: simulated
 // rounds, messages, words, the widest edge-round and the values (combined
 // in arrival order). Every vertex must send the same messages in the same
-// rounds for any engine worker count, and a plan must give the same answer
-// when reused.
+// rounds, and a plan must give the same answer when reused.
 func TestAggregateSchedule(t *testing.T) {
 	want := map[string][]aggPin{
 		"treeleafcycle/steiner": {
@@ -127,36 +124,34 @@ func TestAggregateSchedule(t *testing.T) {
 			{7, 252, 756, 3, 0xa6e702844a5ad78e},
 		},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, fx := range []struct{ fam, builder string }{
-			{"treeleafcycle", "steiner"},
-			{"treeleafcycle", "global-bfs"},
-			{"er", "steiner"},
-			{"er", "global-bfs"},
-		} {
-			name := fx.fam + "/" + fx.builder
-			net, plans := aggFixture(t, fx.fam, 127, fx.builder, workers)
-			x := aggInput(net.G.N)
-			var got []aggPin
-			for li, plan := range plans {
-				for rep := 0; rep < 2; rep++ {
-					net.ResetAccounting()
-					out, err := plan.Aggregate(net, x, scheduleOp)
-					if err != nil {
-						t.Fatalf("%s level %d: %v", name, li+1, err)
-					}
-					s := net.Stats()
-					pin := aggPin{s.SimulatedRounds, s.Messages, s.Words, s.MaxEdgeWords, digestWords(out)}
-					if rep == 0 {
-						got = append(got, pin)
-					} else if pin != got[li] {
-						t.Fatalf("%s level %d: reused plan gave %+v, first run %+v", name, li+1, pin, got[li])
-					}
+	for _, fx := range []struct{ fam, builder string }{
+		{"treeleafcycle", "steiner"},
+		{"treeleafcycle", "global-bfs"},
+		{"er", "steiner"},
+		{"er", "global-bfs"},
+	} {
+		name := fx.fam + "/" + fx.builder
+		net, plans := aggFixture(t, fx.fam, 127, fx.builder)
+		x := aggInput(net.G.N)
+		var got []aggPin
+		for li, plan := range plans {
+			for rep := 0; rep < 2; rep++ {
+				net.ResetAccounting()
+				out, err := plan.Aggregate(net, x, scheduleOp)
+				if err != nil {
+					t.Fatalf("%s level %d: %v", name, li+1, err)
+				}
+				s := net.Stats()
+				pin := aggPin{s.SimulatedRounds, s.Messages, s.Words, s.MaxEdgeWords, digestWords(out)}
+				if rep == 0 {
+					got = append(got, pin)
+				} else if pin != got[li] {
+					t.Fatalf("%s level %d: reused plan gave %+v, first run %+v", name, li+1, pin, got[li])
 				}
 			}
-			if !slices.Equal(want[name], got) {
-				t.Errorf("workers=%d %s: schedule changed\n got %s\nwant %s", workers, name, goLiteral(got), goLiteral(want[name]))
-			}
+		}
+		if !slices.Equal(want[name], got) {
+			t.Errorf("%s: schedule changed\n got %s\nwant %s", name, goLiteral(got), goLiteral(want[name]))
 		}
 	}
 }
@@ -170,15 +165,14 @@ func goLiteral(ps []aggPin) string {
 }
 
 // BenchmarkAggregate times one pass over every hierarchy level of an E4
-// fixture on one engine worker: the per-level aggregations one
-// Tools.billLevels call simulates.
+// fixture: the per-level aggregations one Tools.billLevels call simulates.
 func BenchmarkAggregate(b *testing.B) {
 	for _, fx := range []struct{ fam, builder string }{
 		{"treeleafcycle", "steiner"},
 		{"er", "global-bfs"},
 	} {
 		b.Run(fmt.Sprintf("%s-%s-n127", fx.fam, fx.builder), func(b *testing.B) {
-			net, plans := aggFixture(b, fx.fam, 127, fx.builder, 1)
+			net, plans := aggFixture(b, fx.fam, 127, fx.builder)
 			x := aggInput(net.G.N)
 			or := func(a, b Word) Word { return a | b }
 			b.ReportAllocs()
