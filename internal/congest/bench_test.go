@@ -6,37 +6,29 @@ import (
 	"twoecss/internal/graph"
 )
 
-// The benchmark handlers below keep their own reusable outbox buffers and
-// static payloads, so every allocation the benchmarks report belongs to the
-// engine itself. BenchmarkRelayRing isolates per-round overhead with a tiny
-// active set (one live node per round); BenchmarkFloodGrid and
+// The benchmark handlers below send through Network.Send and keep no
+// buffers of their own, so every allocation the benchmarks report belongs
+// to the engine itself. BenchmarkRelayRing isolates per-round overhead
+// with a tiny active set (one live node per round); BenchmarkFloodGrid and
 // BenchmarkDenseGrid exercise the full delivery/bandwidth-accounting path.
-
-var floodPayload = []Word{7}
 
 func BenchmarkFloodGrid(b *testing.B) {
 	g := graph.Grid(64, 64, graph.DefaultGenConfig(1))
 	net := NewNetwork(g)
 	seen := make([]bool, g.N)
 	fresh := make([]bool, g.N)
-	out := make([][]Msg, g.N)
-	for v := 0; v < g.N; v++ {
-		out[v] = make([]Msg, 0, g.Degree(v))
-	}
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		if len(inbox) > 0 && !seen[v] {
 			seen[v] = true
 			fresh[v] = true
 		}
 		if fresh[v] {
 			fresh[v] = false
-			buf := out[v][:0]
 			for _, id := range g.Incident(v) {
-				buf = append(buf, Msg{EdgeID: id, From: v, Data: floodPayload})
+				net.Send(v, id, 7)
 			}
-			return buf, false
 		}
-		return nil, false
+		return false
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,15 +60,12 @@ func BenchmarkRelayRing(b *testing.B) {
 	}
 	net := NewNetwork(g)
 	hops := 0
-	out := make([]Msg, 0, 1)
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
-		if hops >= laps*n {
-			return nil, false
+	handler := func(v int, inbox []Msg) bool {
+		if hops < laps*n {
+			hops++
+			net.Send(v, v, 7)
 		}
-		hops++
-		out = out[:0]
-		out = append(out, Msg{EdgeID: v, From: v, Data: floodPayload})
-		return out, false
+		return false
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -99,20 +88,15 @@ func BenchmarkDenseGrid(b *testing.B) {
 	g := graph.Grid(32, 32, graph.DefaultGenConfig(1))
 	net := NewNetwork(g)
 	left := make([]int, g.N)
-	out := make([][]Msg, g.N)
-	for v := 0; v < g.N; v++ {
-		out[v] = make([]Msg, 0, g.Degree(v))
-	}
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		if left[v] == 0 {
-			return nil, false
+			return false
 		}
 		left[v]--
-		buf := out[v][:0]
 		for _, id := range g.Incident(v) {
-			buf = append(buf, Msg{EdgeID: id, From: v, Data: floodPayload})
+			net.Send(v, id, 7)
 		}
-		return buf, left[v] > 0
+		return left[v] > 0
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

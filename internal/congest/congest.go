@@ -31,30 +31,34 @@ import (
 // round per direction, i.e. a constant number of Words.
 type Word = int64
 
-// Msg is a message traveling over one edge in one round.
+// Msg is a message traveling over one edge in one round. It holds no
+// pointer, so copying it pays no GC write barrier: its payload words live
+// in the engine's word arena for the round, and a handler reads them with
+// Network.Words.
 type Msg struct {
 	// EdgeID identifies the graph edge the message traverses.
-	EdgeID int
+	EdgeID int32
 	// From is the sending vertex; the receiver is the other endpoint.
-	From int
-	// Data is the payload, counted against the bandwidth budget.
-	Data []Word
+	From int32
+	// Off and N locate the payload in the round's word arena; its N words
+	// are counted against the bandwidth budget.
+	Off, N uint32
 }
 
-// To returns the receiving vertex of m in g.
-func (m Msg) To(g *graph.Graph) int { return g.Edges[m.EdgeID].Other(m.From) }
-
 // Handler is the per-round logic of one node: it receives the messages
-// delivered to node v this round and returns the messages v sends next
-// round plus whether v still wants to be scheduled while silent.
+// delivered to node v this round, sends v's messages for the next round
+// through Network.Send, and returns whether v still wants to be scheduled
+// while silent. A payload read with Network.Words is valid only until the
+// round ends.
 // A handler must only access state belonging to node v. The engine runs a
 // round's handlers in ascending node order; a build with the congestcheck
-// tag runs them in a seeded permutation of that order, and every test must
-// then give the same bytes, so a handler that reads or writes another
-// node's state within a round shows up as a failing test. An empty inbox is
-// always nil, even though the engine keeps presized inbox buffers, so a
-// handler may test inbox == nil for "no mail this round".
-type Handler func(v int, inbox []Msg) (outbox []Msg, active bool)
+// tag runs them in a seeded permutation of that order and poisons every
+// spent payload, and every test must then give the same bytes, so a
+// handler that reads or writes another node's state within a round, or
+// keeps a payload past its round, shows up as a failing test. An empty
+// inbox is always nil, even though the engine keeps presized inbox
+// buffers, so a handler may test inbox == nil for "no mail this round".
+type Handler func(v int, inbox []Msg) (active bool)
 
 // Stats aggregates the cost accounting of a network.
 type Stats struct {

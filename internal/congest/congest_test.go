@@ -3,9 +3,11 @@ package congest
 import (
 	"cmp"
 	"errors"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"twoecss/internal/graph"
 )
@@ -23,24 +25,26 @@ func TestRunSimpleRelay(t *testing.T) {
 	n := 10
 	g := pathGraph(n)
 	net := NewNetwork(g)
-	arrived := -1
+	arrived := Word(-1)
 	sent := make([]bool, n)
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		if v == 0 && !sent[0] {
 			sent[0] = true
-			return []Msg{{EdgeID: 0, From: 0, Data: []Word{42}}}, false
+			net.Send(0, 0, 42)
+			return false
 		}
 		for _, m := range inbox {
 			if v == n-1 {
-				arrived = int(m.Data[0])
-				return nil, false
+				arrived = net.Words(m)[0]
+				return false
 			}
 			if !sent[v] {
 				sent[v] = true
-				return []Msg{{EdgeID: v, From: v, Data: m.Data}}, false
+				net.Send(v, v, net.Words(m)...)
+				return false
 			}
 		}
-		return nil, false
+		return false
 	}
 	if err := net.Run(handler, []int{0}, 100); err != nil {
 		t.Fatal(err)
@@ -59,11 +63,11 @@ func TestRunBandwidthViolation(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g)
 	net.WordsPerEdge = 2
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		if v == 0 {
-			return []Msg{{EdgeID: 0, From: 0, Data: []Word{1, 2, 3}}}, false
+			net.Send(0, 0, 1, 2, 3)
 		}
-		return nil, false
+		return false
 	}
 	err := net.Run(handler, []int{0}, 10)
 	var bw *ErrBandwidth
@@ -75,30 +79,68 @@ func TestRunBandwidthViolation(t *testing.T) {
 func TestRunRejectsForgery(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g)
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	// Node 0's handler sends as node 1, its neighbour on edge 0.
+	handler := func(v int, inbox []Msg) bool {
 		if v == 0 {
-			return []Msg{{EdgeID: 0, From: 1, Data: []Word{1}}}, false
+			net.Send(1, 0, 1)
 		}
-		return nil, false
+		return false
 	}
-	if err := net.Run(handler, []int{0}, 10); err == nil {
-		t.Fatal("forged sender accepted")
+	if err := net.Run(handler, []int{0}, 10); err == nil || !strings.Contains(err.Error(), "node 0 forged sender 1") {
+		t.Fatalf("forged sender: err = %v", err)
 	}
-	handler2 := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler2 := func(v int, inbox []Msg) bool {
 		if v == 0 {
-			return []Msg{{EdgeID: 1, From: 0, Data: []Word{1}}}, false
+			net.Send(0, 1, 1)
 		}
-		return nil, false
+		return false
 	}
-	if err := net.Run(handler2, []int{0}, 10); err == nil {
-		t.Fatal("non-incident edge accepted")
+	if err := net.Run(handler2, []int{0}, 10); err == nil || !strings.Contains(err.Error(), "non-incident edge 1") {
+		t.Fatalf("non-incident edge: err = %v", err)
+	}
+}
+
+// TestSendOutsideHandlerPanics checks that a Send with no handler running
+// panics and says why, before the first Run and after one.
+func TestSendOutsideHandlerPanics(t *testing.T) {
+	net := NewNetwork(pathGraph(2))
+	send := func(when string) {
+		t.Helper()
+		defer func() {
+			if s, _ := recover().(string); !strings.Contains(s, "outside a handler") {
+				t.Fatalf("Send %s: panic %q, want one saying it ran outside a handler", when, s)
+			}
+		}()
+		net.Send(0, 0, 1)
+	}
+	send("before any Run")
+	if err := net.Run(func(int, []Msg) bool { return false }, nil, 10); err != nil {
+		t.Fatal(err)
+	}
+	send("after a Run")
+}
+
+// TestMsgIsPointerFree guards the message layout: 16 bytes of integers, so
+// copying a Msg pays no GC write barrier and the GC never scans an inbox.
+func TestMsgIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(Msg{}); size != 16 {
+		t.Fatalf("Msg is %d bytes, want 16", size)
+	}
+	typ := reflect.TypeFor[Msg]()
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+		default:
+			t.Errorf("Msg.%s is a %s, want an integer", f.Name, f.Type.Kind())
+		}
 	}
 }
 
 func TestRunMaxRounds(t *testing.T) {
 	g := pathGraph(2)
 	net := NewNetwork(g)
-	handler := func(v int, inbox []Msg) ([]Msg, bool) { return nil, true } // spin forever
+	handler := func(v int, inbox []Msg) bool { return true } // spin forever
 	if err := net.Run(handler, nil, 5); err == nil {
 		t.Fatal("non-terminating program accepted")
 	}
@@ -125,11 +167,11 @@ func TestChargeAndPhases(t *testing.T) {
 	// Nested phases: spans are recorded in open order, an enclosing span
 	// bills everything nested in it, and words are attributed like rounds.
 	net = NewNetwork(pathGraph(3))
-	ping := func(v int, inbox []Msg) ([]Msg, bool) {
+	ping := func(v int, inbox []Msg) bool {
 		if v == 0 && inbox == nil {
-			return []Msg{{EdgeID: 0, From: 0, Data: []Word{1, 2, 3}}}, false
+			net.Send(0, 0, 1, 2, 3)
 		}
-		return nil, false
+		return false
 	}
 	net.BeginPhase("stage")
 	if err := net.Charge(5, "setup"); err != nil {
@@ -185,13 +227,13 @@ func TestAnalyticBills(t *testing.T) {
 	}
 }
 
-// setPermute turns the schedule permutation of the congestcheck build on
-// or off for the rest of the test.
-func setPermute(t *testing.T, on bool) {
+// setSwitch turns one of the congestcheck build's switches on or off for
+// the rest of the test.
+func setSwitch(t *testing.T, sw *bool, on bool) {
 	t.Helper()
-	old := permuteSchedule
-	permuteSchedule = on
-	t.Cleanup(func() { permuteSchedule = old })
+	old := *sw
+	*sw = on
+	t.Cleanup(func() { *sw = old })
 }
 
 // TestParallelDeterminism runs a seeded gossip in ascending and in
@@ -202,7 +244,7 @@ func setPermute(t *testing.T, on bool) {
 func TestParallelDeterminism(t *testing.T) {
 	const rounds = 40
 	run := func(permuted bool) (Stats, []int64) {
-		setPermute(t, permuted)
+		setSwitch(t, &permuteSchedule, permuted)
 		g := graph.RandomSpanningTreePlus(300, 600, graph.DefaultGenConfig(7))
 		net := NewNetwork(g)
 		state := make([]int64, g.N)
@@ -211,21 +253,20 @@ func TestParallelDeterminism(t *testing.T) {
 			left[v] = rounds
 			state[v] = int64(v)*2654435761 + 1
 		}
-		handler := func(v int, inbox []Msg) ([]Msg, bool) {
+		handler := func(v int, inbox []Msg) bool {
 			for _, m := range inbox {
 				// Order-sensitive mix: swapping two inbox entries
 				// changes the result.
-				state[v] = state[v]*1000003 + m.Data[0]*31 + int64(m.From)
+				state[v] = state[v]*1000003 + net.Words(m)[0]*31 + int64(m.From)
 			}
 			if left[v] == 0 {
-				return nil, false
+				return false
 			}
 			left[v]--
-			out := net.OutBuf(v)
 			for _, id := range g.Incident(v) {
-				out = append(out, Msg{EdgeID: id, From: v, Data: []Word{state[v] & 0xffff}})
+				net.Send(v, id, state[v]&0xffff)
 			}
-			return out, left[v] > 0
+			return left[v] > 0
 		}
 		if err := net.Run(handler, nil, rounds+10); err != nil {
 			t.Fatal(err)
@@ -251,15 +292,15 @@ func TestParallelDeterminism(t *testing.T) {
 // If the permutation ever became a no-op, this test would fail.
 func TestPermutedOrderExposesNonLocalHandler(t *testing.T) {
 	run := func(permuted bool) []int64 {
-		setPermute(t, permuted)
+		setSwitch(t, &permuteSchedule, permuted)
 		g := pathGraph(100)
 		net := NewNetwork(g)
 		depth := make([]int64, g.N)
-		handler := func(v int, inbox []Msg) ([]Msg, bool) {
+		handler := func(v int, inbox []Msg) bool {
 			if v > 0 {
 				depth[v] = depth[v-1] + 1 // breaks locality: reads node v-1
 			}
-			return nil, false
+			return false
 		}
 		if err := net.Run(handler, nil, 10); err != nil {
 			t.Fatal(err)
@@ -275,49 +316,115 @@ func TestPermutedOrderExposesNonLocalHandler(t *testing.T) {
 	}
 }
 
+// TestPoisonExposesRetainedPayload is the arena poison's self-test: a
+// handler that keeps a payload slice and reads it a round after it arrived
+// must give a different result with the poison on than with it off. If
+// the poison ever became a no-op, this test would fail.
+func TestPoisonExposesRetainedPayload(t *testing.T) {
+	run := func(poison bool) []Word {
+		setSwitch(t, &poisonArena, poison)
+		g := pathGraph(10)
+		net := NewNetwork(g)
+		kept := make([][]Word, g.N)
+		got := make([]Word, g.N)
+		handler := func(v int, inbox []Msg) bool {
+			switch {
+			case kept[v] != nil:
+				got[v] = kept[v][0] // breaks the rule: the payload's round has ended
+				kept[v] = nil
+			case inbox != nil:
+				kept[v] = net.Words(inbox[0])
+				return true
+			case v+1 < g.N:
+				net.Send(v, v, Word(v+1))
+			}
+			return false
+		}
+		if err := net.Run(handler, nil, 10); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	clean, poisoned := run(false), run(true)
+	for v := 1; v < len(clean); v++ {
+		if clean[v] != Word(v) {
+			t.Fatalf("without poison: node %d read %d, want %d", v, clean[v], v)
+		}
+	}
+	if slices.Equal(clean, poisoned) {
+		t.Fatal("poisoned arena gave the clean result for a handler that keeps a payload")
+	}
+}
+
 // TestParallelErrorDeterminism guards the error contract: when several
 // scheduled nodes misbehave in the same round, the reported error must be
-// the one with the smallest (sender, outbox index), in ascending and in
-// permuted handler order.
+// the one with the smallest (sender, send index), validation errors before
+// bandwidth errors, in ascending and in permuted handler order. A node's
+// sends after its validation error are dropped, so they are neither
+// billed nor counted.
 func TestParallelErrorDeterminism(t *testing.T) {
 	const n = 100
+	five := []Word{1, 2, 3, 4, 5}
 	for _, tc := range []struct {
-		name    string
-		bad     func(v int) []Msg // outbox for the two misbehaving nodes
-		badat   [2]int
-		wantSub string
+		name     string
+		badat    [2]int
+		bad      func(net *Network, v int) // the sends of the two misbehaving nodes
+		wantSub  string
+		messages int64 // delivered in the failing round
 	}{
 		{
 			name:  "forged-sender",
 			badat: [2]int{10, 90},
-			bad: func(v int) []Msg {
-				return []Msg{{EdgeID: v, From: v + 1, Data: []Word{1}}}
+			bad: func(net *Network, v int) {
+				net.Send(v, v, 1)
+				net.Send(v+1, v, 1) // send index 1: forged
+				net.Send(v, v-1, 1) // dropped
 			},
-			wantSub: "node 10 forged sender",
+			wantSub:  "node 10 forged sender 11",
+			messages: 2,
 		},
 		{
 			name:  "bandwidth",
 			badat: [2]int{20, 70},
-			bad: func(v int) []Msg {
-				return []Msg{{EdgeID: v, From: v, Data: make([]Word, 99)}}
+			bad: func(net *Network, v int) {
+				net.Send(v, v, five...)
+				net.Send(v, v, five...)               // send index 1: 10 words
+				net.Send(v, v-1, make([]Word, 99)...) // send index 2: 99 words
 			},
-			wantSub: "99 words from vertex 20",
+			wantSub:  "10 words from vertex 20",
+			messages: 6,
+		},
+		{
+			name:  "validation-before-bandwidth",
+			badat: [2]int{20, 70},
+			bad: func(net *Network, v int) {
+				if v == 20 {
+					net.Send(v, v, make([]Word, 99)...)
+				} else {
+					net.Send(v, v+5, 1)
+				}
+			},
+			wantSub:  "node 70 sent on non-incident edge 75",
+			messages: 1,
 		},
 	} {
 		var errs [2]error
 		for i, permuted := range []bool{false, true} {
-			setPermute(t, permuted)
+			setSwitch(t, &permuteSchedule, permuted)
 			g := pathGraph(n)
 			net := NewNetwork(g)
-			handler := func(v int, inbox []Msg) ([]Msg, bool) {
+			handler := func(v int, inbox []Msg) bool {
 				if v == tc.badat[0] || v == tc.badat[1] {
-					return tc.bad(v), false
+					tc.bad(net, v)
 				}
-				return nil, false
+				return false
 			}
 			errs[i] = net.Run(handler, nil, 10)
 			if errs[i] == nil {
 				t.Fatalf("%s permuted=%v: no error", tc.name, permuted)
+			}
+			if got := net.Stats().Messages; got != tc.messages {
+				t.Fatalf("%s permuted=%v: %d messages delivered, want %d", tc.name, permuted, got, tc.messages)
 			}
 		}
 		if errs[0].Error() != errs[1].Error() {
@@ -331,20 +438,19 @@ func TestParallelErrorDeterminism(t *testing.T) {
 }
 
 // TestRunRecyclesAcrossCalls checks that repeated Runs on one Network reuse
-// engine buffers — a warmed-up Run must be nearly allocation-free — and
-// keep accumulating stats correctly.
+// engine buffers — a warmed-up Run must be allocation-free — and keep
+// accumulating stats correctly.
 func TestRunRecyclesAcrossCalls(t *testing.T) {
 	g := pathGraph(8)
 	net := NewNetwork(g)
-	payload := []Word{9}
 	sent := false
 	runs := 0
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		if v == 0 && !sent {
 			sent = true
-			return append(net.OutBuf(v), Msg{EdgeID: 0, From: 0, Data: payload}), false
+			net.Send(0, 0, 9)
 		}
-		return nil, false
+		return false
 	}
 	run := func() {
 		sent = false
@@ -384,26 +490,25 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 	net := NewNetwork(g)
 	const lastSend = 9
 	var ran [][]int // ran[r-1] lists the handler calls of round r in order
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
+	handler := func(v int, inbox []Msg) bool {
 		r := int(net.Stats().SimulatedRounds)
 		for len(ran) < r {
 			ran = append(ran, nil)
 		}
 		ran[r-1] = append(ran[r-1], v)
 		if v != hub || r > lastSend {
-			return nil, false
+			return false
 		}
-		var out []Msg
 		if r%2 == 0 {
 			for leaf := hub - 1; leaf >= 0; leaf-- {
-				out = append(out, Msg{EdgeID: leaf, From: hub, Data: []Word{1}})
+				net.Send(hub, leaf, 1)
 			}
 		} else {
 			for _, leaf := range []int{9, 5, 1} {
-				out = append(out, Msg{EdgeID: leaf, From: hub, Data: []Word{1}})
+				net.Send(hub, leaf, 1)
 			}
 		}
-		return out, true
+		return true
 	}
 	if err := net.Run(handler, nil, 100); err != nil {
 		t.Fatal(err)
@@ -434,7 +539,7 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 
 // TestInboxOrderOverParallelEdges checks the inbox order contract on a
 // multigraph: (From, EdgeID) ascending, and messages on one edge in their
-// sender's outbox order. Two senders each reach the receiver over three
+// sender's send order. Two senders each reach the receiver over three
 // parallel edges and send in descending edge order, twice on the middle
 // edge. In the large variant every node runs in round 1 and the rest flood
 // the path; the receiver runs after the senders in that round (in
@@ -444,9 +549,14 @@ func TestWorklistAscendingDenseAndSparse(t *testing.T) {
 func TestInboxOrderOverParallelEdges(t *testing.T) {
 	const n, recv = 128, 100
 	senders := []int{3, 7}
+	// sent is one message as its sender sent it or its receiver read it.
+	type sent struct {
+		edge, from int
+		tag        Word
+	}
 	for _, large := range []bool{true, false} {
 		for _, permuted := range []bool{false, true} {
-			setPermute(t, permuted)
+			setSwitch(t, &permuteSchedule, permuted)
 			g := pathGraph(n) // edge v-1 joins v-1 and v
 			par := map[int][]int{}
 			for _, s := range senders {
@@ -455,23 +565,25 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 				}
 			}
 			net := NewNetwork(g)
-			outs := make([][]Msg, n)
-			var got [][]Msg // got[r-1] is the receiver's inbox in round r
-			handler := func(v int, inbox []Msg) ([]Msg, bool) {
+			outs := make([][]sent, n)
+			var got [][]sent // got[r-1] is the receiver's inbox in round r
+			handler := func(v int, inbox []Msg) bool {
 				r := int(net.Stats().SimulatedRounds)
 				if v == recv {
 					for len(got) < r {
 						got = append(got, nil)
 					}
-					got[r-1] = slices.Clone(inbox)
+					for _, m := range inbox {
+						got[r-1] = append(got[r-1], sent{int(m.EdgeID), int(m.From), net.Words(m)[0]})
+					}
 				}
 				if r != 1 {
-					return nil, false
+					return false
 				}
-				var out []Msg
 				send := func(id int) {
-					tag := Word(v*100 + len(out))
-					out = append(out, Msg{EdgeID: id, From: v, Data: []Word{tag}})
+					tag := Word(v*100 + len(outs[v]))
+					net.Send(v, id, tag)
+					outs[v] = append(outs[v], sent{id, v, tag})
 				}
 				if ids := par[v]; ids != nil {
 					send(ids[2])
@@ -484,8 +596,7 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 						send(id)
 					}
 				}
-				outs[v] = out
-				return out, false
+				return false
 			}
 			start := senders
 			if large {
@@ -495,24 +606,23 @@ func TestInboxOrderOverParallelEdges(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The reference order: every message to the receiver, senders
-			// ascending and each in outbox order, stably sorted.
-			var want []Msg
+			// ascending and each in send order, stably sorted.
+			us, vs := g.Endpoints()
+			var want []sent
 			for _, out := range outs {
 				for _, m := range out {
-					if m.To(g) == recv {
+					if int(us[m.edge]+vs[m.edge])-m.from == recv {
 						want = append(want, m)
 					}
 				}
 			}
-			slices.SortStableFunc(want, func(a, b Msg) int {
-				return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.EdgeID, b.EdgeID))
+			slices.SortStableFunc(want, func(a, b sent) int {
+				return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.edge, b.edge))
 			})
 			if len(got) < 2 || len(got[0]) != 0 {
 				t.Fatalf("large=%v permuted=%v: receiver inboxes %v, want an empty one in round 1 and then its messages", large, permuted, got)
 			}
-			if !slices.EqualFunc(got[1], want, func(a, b Msg) bool {
-				return a.EdgeID == b.EdgeID && a.From == b.From && a.Data[0] == b.Data[0]
-			}) {
+			if !slices.Equal(got[1], want) {
 				t.Fatalf("large=%v permuted=%v: inbox\n %v\nwant\n %v", large, permuted, got[1], want)
 			}
 			if len(want) < 8 {

@@ -16,15 +16,12 @@ func ringNet(n, laps int) (*Network, Handler, *int) {
 	}
 	net := NewNetwork(g)
 	hops := new(int)
-	out := make([]Msg, 0, 1)
-	handler := func(v int, inbox []Msg) ([]Msg, bool) {
-		if *hops >= laps*n {
-			return nil, false
+	handler := func(v int, inbox []Msg) bool {
+		if *hops < laps*n {
+			*hops++
+			net.Send(v, v, 7)
 		}
-		*hops++
-		out = out[:0]
-		out = append(out, Msg{EdgeID: v, From: v, Data: floodPayload})
-		return out, false
+		return false
 	}
 	return net, handler, hops
 }

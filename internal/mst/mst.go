@@ -241,19 +241,17 @@ func exchangeComp(net *congest.Network, comp []int) ([]int32, error) {
 		out[i] = -1
 	}
 	sent := make([]bool, g.N)
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	handler := func(v int, inbox []congest.Msg) bool {
 		for _, m := range inbox {
-			out[halfEdge(g, v, m.EdgeID)] = int32(m.Data[0])
+			out[halfEdge(g, v, int(m.EdgeID))] = int32(net.Words(m)[0])
 		}
 		if !sent[v] {
 			sent[v] = true
-			msgs := make([]congest.Msg, 0, g.Degree(v))
 			for _, id := range g.Incident(v) {
-				msgs = append(msgs, congest.Msg{EdgeID: id, From: v, Data: []congest.Word{congest.Word(comp[v])}})
+				net.Send(v, id, congest.Word(comp[v]))
 			}
-			return msgs, false
 		}
-		return nil, false
+		return false
 	}
 	if err := net.Run(handler, nil, 8); err != nil {
 		return nil, err
@@ -309,9 +307,10 @@ func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrCo
 		}
 	}
 
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	handler := func(v int, inbox []congest.Msg) bool {
 		for _, m := range inbox {
-			c, id := int(m.Data[0]), int(m.Data[1])
+			w := net.Words(m)
+			c, id := int(w[0]), int(w[1])
 			cur, ok := best[v][c]
 			if !ok || less(g, id, cur) {
 				best[v][c] = id
@@ -323,17 +322,13 @@ func minOutgoingPerComp(net *congest.Network, rt *tree.Rooted, comp []int, nbrCo
 		}
 		if rt.ParentEdge[v] < 0 || len(dirty[v]) == 0 {
 			dirty[v] = dirty[v][:0]
-			return nil, false
+			return false
 		}
 		c := dirty[v][0]
 		dirty[v] = dirty[v][1:]
 		inDirty[v][c] = false
-		msg := congest.Msg{
-			EdgeID: rt.ParentEdge[v],
-			From:   v,
-			Data:   []congest.Word{congest.Word(c), congest.Word(best[v][c])},
-		}
-		return []congest.Msg{msg}, len(dirty[v]) > 0
+		net.Send(v, rt.ParentEdge[v], congest.Word(c), congest.Word(best[v][c]))
+		return len(dirty[v]) > 0
 	}
 	if err := net.Run(handler, nil, int64(16*g.N+64)); err != nil {
 		return nil, err

@@ -68,9 +68,9 @@ const (
 //
 // Node state is flat: each vertex's perNode lists, sorted by descending
 // key, so the next key to stream is popped from the tail and the freed
-// capacity takes later inserts; one progress array indexed by child
-// vertex; and double-buffered two-word payloads. A round allocates only
-// when a key list outgrows every earlier call's capacity.
+// capacity takes later inserts; and one progress array indexed by child
+// vertex. A round allocates only when a key list outgrows every earlier
+// call's capacity.
 func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode []KeyedValues, op Combine) (KeyedValues, error) {
 	g := net.G
 	if len(perNode) != g.N {
@@ -92,10 +92,7 @@ func KeyedSumOrdered(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode 
 		sc.progress[v] = unreported
 	}
 	sc.sentDone = sized(sc.sentDone, g.N)
-	sc.parity = sized(sc.parity, g.N)
 	clear(sc.sentDone)
-	clear(sc.parity)
-	sc.payload = sized(sc.payload, 4*g.N)
 
 	// A vertex with children waits for their first reports, so only the
 	// leaves can act in the first round.
@@ -140,15 +137,16 @@ func (sc *Scratch) childFloor(v int) congest.Word {
 // marker once v and all its children are drained. Only mail raises the
 // children's floor, so v stays active only if its next step can run
 // without mail; otherwise its children's next message wakes it.
-func (sc *Scratch) keyedStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+func (sc *Scratch) keyedStep(v int, inbox []congest.Msg) bool {
 	kv := &sc.kv[v]
 	for _, m := range inbox {
-		k := m.Data[0]
+		w := sc.net.Words(m)
+		k := w[0]
 		if k == doneTag {
 			sc.progress[m.From] = doneTag
 			continue
 		}
-		val := m.Data[1]
+		val := w[1]
 		// Insert in sorted position (arrivals are ordered per child,
 		// but interleave across children), combining equal keys.
 		i, found := searchDesc(kv.Keys, k)
@@ -162,35 +160,23 @@ func (sc *Scratch) keyedStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
 	}
 	pe := sc.t.ParentEdge[v]
 	if pe < 0 || sc.sentDone[v] {
-		return nil, false
+		return false
 	}
 	floor := sc.childFloor(v)
-	// payload[4v:4v+4] double-buffers v's payload: a receiver reads a
-	// payload in the round after it was filled, in which round v may fill
-	// the other half (see DESIGN.md on payload recycling).
-	buf := sc.payload[4*v : 4*v+2 : 4*v+2]
-	if sc.parity[v] {
-		buf = sc.payload[4*v+2 : 4*v+4 : 4*v+4]
-	}
 	last := len(kv.Keys) - 1
 	switch {
 	case last >= 0 && kv.Keys[last] <= floor:
-		buf[0], buf[1] = kv.Keys[last], kv.Vals[last]
+		sc.net.Send(v, pe, kv.Keys[last], kv.Vals[last])
 		kv.Keys, kv.Vals = kv.Keys[:last], kv.Vals[:last]
 	case last < 0 && floor == doneTag:
 		sc.sentDone[v] = true
-		buf = buf[:1]
-		buf[0] = doneTag
+		sc.net.Send(v, pe, doneTag)
+		return false
 	default:
-		return nil, false // wait for the children to progress past the key
-	}
-	sc.parity[v] = !sc.parity[v]
-	out := append(sc.net.OutBuf(v), congest.Msg{EdgeID: pe, From: v, Data: buf})
-	if sc.sentDone[v] {
-		return out, false
+		return false // wait for the children to progress past the key
 	}
 	if last--; last >= 0 {
-		return out, kv.Keys[last] <= floor
+		return kv.Keys[last] <= floor
 	}
-	return out, floor == doneTag
+	return floor == doneTag
 }

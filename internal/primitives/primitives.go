@@ -1,13 +1,13 @@
 // Package primitives implements the standard CONGEST building blocks the
 // paper composes its algorithms from, as real message-level simulations on a
 // congest.Network: distributed BFS-tree construction, pipelined broadcast
-// and convergecast of k values over a rooted tree, subtree and root-path
+// and convergecast of k values over a rooted tree, keyed and subtree
 // aggregation, and global aggregate/termination queries.
 //
 // Round complexities (all measured by the engine, stated here for
 // reference): BFS is O(D); a pipelined k-item broadcast or gather costs
-// O(height + k); subtree/root-path aggregation cost O(height); a global
-// aggregate costs O(height).
+// O(height + k); subtree aggregation costs O(height); a global aggregate
+// costs O(height).
 package primitives
 
 import (
@@ -42,38 +42,32 @@ func BuildBFS(net *congest.Network, root int) (*tree.Rooted, error) {
 	discovered[root] = true
 	justJoined[root] = true
 
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	handler := func(v int, inbox []congest.Msg) bool {
 		if !discovered[v] {
 			// First explore wins; inbox is sorted by sender id.
 			if len(inbox) == 0 {
-				return nil, false
+				return false
 			}
 			discovered[v] = true
-			parentEdge[v] = inbox[0].EdgeID
+			parentEdge[v] = int(inbox[0].EdgeID)
 			justJoined[v] = true
-			return nil, true
+			return true
 		}
 		if justJoined[v] {
 			justJoined[v] = false
-			out := net.OutBuf(v)
 			for _, h := range g.Row(v) {
 				if id := int(h.ID); id != parentEdge[v] {
-					out = append(out, congest.Msg{EdgeID: id, From: v, Data: exploreData})
+					net.Send(v, id, 1) // explore
 				}
 			}
-			return out, false
 		}
-		return nil, false
+		return false
 	}
 	if err := net.Run(handler, []int{root}, maxRoundsFor(g, 0)); err != nil {
 		return nil, err
 	}
 	return tree.NewFromParentEdges(g, root, parentEdge)
 }
-
-// exploreData is the constant one-word payload of BFS explore messages.
-// It is shared across all senders; receivers never mutate payloads.
-var exploreData = []congest.Word{1}
 
 // Item is a fixed-arity tuple of words moved by the pipelined primitives.
 // One Item fits one CONGEST message (a constant number of O(log n)-bit
@@ -84,14 +78,6 @@ type Item []congest.Word
 // edges) straight from the *tree.Rooted, which models the same node-local
 // knowledge (each vertex knows its incident tree edges after tree
 // construction) without a per-call adjacency copy.
-
-// appendChildMsgs appends one message per child edge of v carrying data.
-func appendChildMsgs(out []congest.Msg, t *tree.Rooted, v int, data []congest.Word) []congest.Msg {
-	for _, id := range t.ChildEdges[v] {
-		out = append(out, congest.Msg{EdgeID: id, From: v, Data: data})
-	}
-	return out
-}
 
 // Scratch is the node state of Gather, Broadcast, KeyedSumOrdered,
 // SubtreeAggregate and the primitives built on them, kept across calls:
@@ -118,20 +104,21 @@ type Scratch struct {
 
 	// KeyedSumOrdered: progress[u] is the last key child u streamed to its
 	// parent (unreported before u's first message, doneTag when u
-	// finished); payload[4v:4v+4] is v's double-buffered two-word payload,
-	// parity[v] the half it fills next.
+	// finished).
 	progress []congest.Word
 	sentDone []bool
-	payload  []congest.Word
-	parity   []bool
 	table    KeyedValues
 	// Broadcast: items received and forwarded per vertex.
 	rcvd, fwd []int32
-	// Gather: per-vertex item queues (head[v] is the next to send) and the
-	// items collected at the root.
+	// Gather: per-vertex item queues (head[v] is the next to send), the
+	// items collected at the root, and the words of every item received
+	// this call: a payload lives only until its round ends, so a received
+	// item is queued as a copy here. Appends write past every live item,
+	// and growth leaves the old array intact.
 	queue     [][]Item
 	head      []int32
 	collected []Item
+	words     []congest.Word
 	// SubtreeAggregate: running aggregate and children still to report.
 	acc    []congest.Word
 	needed []int32
@@ -174,16 +161,22 @@ func (sc *Scratch) leaves(t *tree.Rooted) []int {
 // Gather moves every node's items to the root via a pipelined convergecast
 // without combining: one item per edge per round flows upward. It returns
 // the items received at the root (root's own items included), in arrival
-// order. Rounds: O(height + total items).
+// order, as copies that alias neither sc nor perNode.
+// Rounds: O(height + total items).
 func Gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) ([]Item, error) {
 	collected, err := gather(net, t, sc, perNode)
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(collected), nil
+	out := make([]Item, len(collected))
+	for i, it := range collected {
+		out[i] = slices.Clone(it)
+	}
+	return out, nil
 }
 
-// gather runs Gather and returns the root's items in sc.collected.
+// gather runs Gather and returns the root's items in sc.collected, valid
+// until sc's next gather.
 func gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item) ([]Item, error) {
 	g := net.G
 	if len(perNode) != g.N {
@@ -195,6 +188,7 @@ func gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item)
 	}
 	sc.head = sized(sc.head, g.N)
 	sc.collected = sc.collected[:0]
+	sc.words = sc.words[:0]
 	// Only item holders can act before any mail arrives. With no items at
 	// all the root still runs, so the call costs its one round.
 	sc.start = sc.start[:0]
@@ -216,15 +210,17 @@ func gather(net *congest.Network, t *tree.Rooted, sc *Scratch, perNode [][]Item)
 	return sc.collected, nil
 }
 
-func (sc *Scratch) gatherStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+func (sc *Scratch) gatherStep(v int, inbox []congest.Msg) bool {
 	q, h := sc.queue[v], sc.head[v]
 	for _, m := range inbox {
-		q = append(q, Item(m.Data))
+		k := len(sc.words)
+		sc.words = append(sc.words, sc.net.Words(m)...)
+		q = append(q, Item(sc.words[k:len(sc.words):len(sc.words)]))
 	}
 	if v == sc.t.Root {
 		sc.collected = append(sc.collected, q[h:]...)
 		sc.queue[v], sc.head[v] = q[:0], 0
-		return nil, false
+		return false
 	}
 	// A non-root vertex runs only with items queued: it holds some at
 	// the start, was just sent one, or stayed active for the rest.
@@ -233,8 +229,8 @@ func (sc *Scratch) gatherStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) 
 		q, h = q[:0], 0 // drained: refill from the front
 	}
 	sc.queue[v], sc.head[v] = q, h
-	out := append(sc.net.OutBuf(v), congest.Msg{EdgeID: sc.t.ParentEdge[v], From: v, Data: it})
-	return out, int(h) < len(q)
+	sc.net.Send(v, sc.t.ParentEdge[v], it...)
+	return int(h) < len(q)
 }
 
 // Broadcast delivers the given items from the root to every vertex via a
@@ -274,17 +270,19 @@ func BroadcastAll(net *congest.Network, t *tree.Rooted, sc *Scratch, items []Ite
 	return err
 }
 
-func (sc *Scratch) broadcastStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+func (sc *Scratch) broadcastStep(v int, inbox []congest.Msg) bool {
 	rcvd := sc.rcvd[v] + int32(len(inbox))
 	sc.rcvd[v] = rcvd
 	if sc.fwd[v] == rcvd || len(sc.t.ChildEdges[v]) == 0 {
 		sc.fwd[v] = rcvd
-		return nil, false
+		return false
 	}
 	it := sc.items[sc.fwd[v]]
 	sc.fwd[v]++
-	out := appendChildMsgs(sc.net.OutBuf(v), sc.t, v, it)
-	return out, sc.fwd[v] < rcvd
+	for _, id := range sc.t.ChildEdges[v] {
+		sc.net.Send(v, id, it...)
+	}
+	return sc.fwd[v] < rcvd
 }
 
 // GatherBroadcast gathers all items to the root and then broadcasts them so
@@ -344,55 +342,16 @@ func subtreeAggregate(net *congest.Network, t *tree.Rooted, sc *Scratch, x []con
 	return sc.acc, nil
 }
 
-// subtreeStep reports v's aggregate once its last child has. A vertex
-// reports exactly once and receives nothing afterwards, so acc[v] itself
-// is the payload: it stays unchanged until the parent reads it.
-func (sc *Scratch) subtreeStep(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+// subtreeStep reports v's aggregate once its last child has.
+func (sc *Scratch) subtreeStep(v int, inbox []congest.Msg) bool {
 	for _, m := range inbox {
-		sc.acc[v] = sc.op(sc.acc[v], m.Data[0])
+		sc.acc[v] = sc.op(sc.acc[v], sc.net.Words(m)[0])
 		sc.needed[v]--
 	}
-	pe := sc.t.ParentEdge[v]
-	if sc.needed[v] != 0 || pe < 0 {
-		return nil, false
+	if pe := sc.t.ParentEdge[v]; sc.needed[v] == 0 && pe >= 0 {
+		sc.net.Send(v, pe, sc.acc[v])
 	}
-	msg := congest.Msg{EdgeID: pe, From: v, Data: sc.acc[v : v+1 : v+1]}
-	return append(sc.net.OutBuf(v), msg), false
-}
-
-// RootPathAggregate computes, for every vertex v, the aggregate of x over
-// all ancestors of v including v itself (ancestors' aggregate on the given
-// tree), by an accumulate-and-forward downcast. Rounds: O(height).
-func RootPathAggregate(net *congest.Network, t *tree.Rooted, x []congest.Word, op Combine) ([]congest.Word, error) {
-	g := net.G
-	if len(x) != g.N {
-		return nil, fmt.Errorf("primitives: input length %d != n", len(x))
-	}
-	acc := append([]congest.Word(nil), x...)
-	sent := make([]bool, g.N)
-	have := make([]bool, g.N)
-	have[t.Root] = true
-	// One shared backing array for the one-shot per-node payloads, as in
-	// SubtreeAggregate.
-	sendBuf := make([]congest.Word, g.N)
-
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
-		for _, m := range inbox {
-			acc[v] = op(m.Data[0], acc[v])
-			have[v] = true
-		}
-		if have[v] && !sent[v] {
-			sent[v] = true
-			sendBuf[v] = acc[v]
-			out := appendChildMsgs(net.OutBuf(v), t, v, sendBuf[v:v+1:v+1])
-			return out, false
-		}
-		return nil, false
-	}
-	if err := net.Run(handler, []int{t.Root}, maxRoundsFor(g, 0)); err != nil {
-		return nil, err
-	}
-	return acc, nil
+	return false
 }
 
 // GlobalAggregate combines one word per vertex into a single value known to

@@ -168,31 +168,6 @@ func TestSubtreeAggregateSum(t *testing.T) {
 	}
 }
 
-func TestRootPathAggregateSum(t *testing.T) {
-	net, rt := testNet(t, 9, 45)
-	x := make([]congest.Word, 45)
-	for v := range x {
-		x[v] = congest.Word(2*v + 1)
-	}
-	sum := func(a, b congest.Word) congest.Word { return a + b }
-	got, err := RootPathAggregate(net, rt, x, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 45; v++ {
-		var want congest.Word
-		for u := v; ; u = rt.Parent[u] {
-			want += x[u]
-			if rt.Parent[u] < 0 {
-				break
-			}
-		}
-		if got[v] != want {
-			t.Fatalf("root-path sum at %d = %d, want %d", v, got[v], want)
-		}
-	}
-}
-
 func TestGlobalAggregateMax(t *testing.T) {
 	net, rt := testNet(t, 10, 25)
 	x := make([]congest.Word, 25)

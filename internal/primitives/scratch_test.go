@@ -135,8 +135,9 @@ func TestHandlersRunOnlyWithWork(t *testing.T) {
 }
 
 // TestResultsSurviveLaterCalls checks that what Gather, Broadcast and
-// GatherBroadcast return does not alias the Scratch: later calls with the
-// same Scratch on the same network leave it intact.
+// GatherBroadcast return aliases neither the Scratch nor the engine's
+// payload arena: later calls with the same Scratch on the same network,
+// a second Gather and a KeyedSumOrdered among them, leave it intact.
 func TestResultsSurviveLaterCalls(t *testing.T) {
 	const n = 50
 	net, rt := testNet(t, 13, n)
@@ -188,7 +189,15 @@ func TestResultsSurviveLaterCalls(t *testing.T) {
 	if err := GatherBroadcastAll(net, rt, &sc, items(5000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GlobalAggregate(net, rt, &sc, make([]congest.Word, n), func(a, b congest.Word) congest.Word { return a + b }); err != nil {
+	sum := func(a, b congest.Word) congest.Word { return a + b }
+	if _, err := GlobalAggregate(net, rt, &sc, make([]congest.Word, n), sum); err != nil {
+		t.Fatal(err)
+	}
+	kv := make([]KeyedValues, n)
+	for v := range kv {
+		kv[v] = KeyedValues{Keys: []congest.Word{congest.Word(v % 7)}, Vals: []congest.Word{6000 + congest.Word(v)}}
+	}
+	if _, err := KeyedSumOrdered(net, rt, &sc, kv, sum); err != nil {
 		t.Fatal(err)
 	}
 

@@ -53,10 +53,8 @@ type AggPlan struct {
 	// queues[slot] is the FIFO of payloads (tag, part, value) the slot's
 	// sender still has to push over that edge, one per round; heads index
 	// into the queue slices to avoid re-slicing writes. A slot is written
-	// only by its sending vertex's handler. A sent message's Data aliases
-	// its queue entry: appends write past every live entry, and growth
-	// leaves the old array intact. The queues are kept across runs,
-	// amortizing payload allocation to zero.
+	// only by its sending vertex's handler. The queues are kept across
+	// runs, amortizing their allocation to zero.
 	queues [][][3]Word
 	heads  []int32
 	// A slot's queue and head are this run's only when stamp[slot] == run;
@@ -269,10 +267,11 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 	}
 	pl.run++
 
-	handler := func(v int, inbox []congest.Msg) ([]congest.Msg, bool) {
+	handler := func(v int, inbox []congest.Msg) bool {
 		v32 := int32(v)
 		for _, m := range inbox {
-			tag, p, val := m.Data[0], int32(m.Data[1]), m.Data[2]
+			w := net.Words(m)
+			tag, p, val := w[0], int32(w[1]), w[2]
 			ri := pl.roleOf(v32, p)
 			if ri < 0 {
 				continue
@@ -317,13 +316,12 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 				}
 			}
 		}
-		// Emit one queued message per non-empty queue, in row order.
-		out := net.OutBuf(v)
+		// Send one queued message per non-empty queue, in row order.
 		live := pl.live[pl.off[v] : pl.off[v]+pl.liveN[v]]
 		kept := live[:0]
 		for _, slot := range live {
 			q, head := pl.queues[slot], pl.heads[slot]
-			out = append(out, congest.Msg{EdgeID: int(slot >> 1), From: v, Data: q[head][:]})
+			net.Send(v, int(slot>>1), q[head][:]...)
 			pl.heads[slot] = head + 1
 			if int(head)+1 < len(q) {
 				kept = append(kept, slot)
@@ -332,7 +330,7 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 		pl.liveN[v] = int32(len(kept))
 		// Transitions happen only on mail, so without mail v has work next
 		// round only if a queue still holds payloads.
-		return out, len(kept) > 0
+		return len(kept) > 0
 	}
 	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.rolePart) + 64)
 	if err := net.Run(handler, nil, maxRounds); err != nil {
