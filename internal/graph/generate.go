@@ -86,15 +86,21 @@ func normPair(u, v int) [2]int {
 func ErdosRenyi(n int, p float64, cfg GenConfig) *Graph {
 	g := New(n)
 	perm := cfg.Rng.Perm(n)
-	seen := make(map[[2]int]bool, n*4)
+	// The tree pairs {u < v} as u*n+v, sorted: the pair scan below meets
+	// them in the same order and skips each with one comparison.
+	tree := make([]int, 0, n)
 	for i := 1; i < n; i++ {
 		q := perm[cfg.Rng.Intn(i)]
 		g.MustAddEdge(perm[i], q, cfg.weight())
-		seen[normPair(perm[i], q)] = true
+		e := normPair(perm[i], q)
+		tree = append(tree, e[0]*n+e[1])
 	}
+	slices.Sort(tree)
+	next := 0
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if seen[normPair(u, v)] {
+			if next < len(tree) && tree[next] == u*n+v {
+				next++
 				continue
 			}
 			if cfg.Rng.Float64() < p {

@@ -2,6 +2,7 @@ package segments
 
 import (
 	"fmt"
+	"slices"
 
 	"twoecss/internal/congest"
 	"twoecss/internal/primitives"
@@ -21,7 +22,10 @@ import (
 // Both run in O(D + sqrt n) rounds. The global movements (per-segment
 // summaries and per-highway long-range combination, Claim 4.4) are simulated
 // at message level on the BFS tree; the intra-segment scans are billed
-// analytically as 3 x MaxDiameter rounds per call.
+// analytically as 3*MaxDiameter+3 rounds per call, and their values are
+// folded centrally: PerVEdge walks each vertex's root path once for all the
+// virtual edges it simulates, PerTreeEdge walks each virtual edge's cover
+// path.
 type Aggregator struct {
 	Net *congest.Network
 	// BFS is the communication tree over the network graph (height O(D)).
@@ -36,6 +40,12 @@ type Aggregator struct {
 	// segOf[segOff[ve]:segOff[ve+1]].
 	segOff []int32
 	segOf  []int32
+	// decVE lists the virtual edges each vertex simulates as CSR, nearest
+	// Anc first: vertex v's are decVE[decOff[v]:decOff[v+1]], and decAnc
+	// holds their Ancs.
+	decOff []int32
+	decVE  []int32
+	decAnc []int32
 
 	// Scratch reused across aggregate calls (an Aggregator is not safe for
 	// concurrent use, matching the one-Network-one-run engine contract):
@@ -60,14 +70,17 @@ type Aggregator struct {
 // by Claims 4.3/4.4 (each vertex knows its segment paths and the skeleton);
 // its round bill is part of the decomposition construction charge.
 //
-// Cover paths themselves are never stored: the folds walk T.Parent from a
-// virtual edge's Dec up to its Anc, so the structure is O(m) rather than
+// Cover paths themselves are never stored: the folds walk T.Parent up
+// from a virtual edge's Dec, so the structure is O(m) rather than
 // O(m x depth). The path leaves a segment only at the segment's root, so
-// the segment list is built by hopping from root to root.
+// the segment list is built by hopping from root to root. The virtual
+// edges are also grouped by Dec, nearest Anc first, for PerVEdge's one
+// walk per vertex.
 func NewAggregator(net *congest.Network, bfs *tree.Rooted, d *Decomposition, vg *vgraph.VGraph) *Aggregator {
 	a := &Aggregator{Net: net, BFS: bfs, D: d, VG: vg}
 	nv := len(vg.VEdges)
 	depth := vg.T.Depth
+	a.groupByDec()
 	a.segOff = make([]int32, nv+1)
 	a.segOf = make([]int32, 0, nv)
 	for ve := range vg.VEdges {
@@ -83,6 +96,46 @@ func NewAggregator(net *congest.Network, bfs *tree.Rooted, d *Decomposition, vg 
 		a.segOff[ve+1] = int32(len(a.segOf))
 	}
 	return a
+}
+
+// groupByDec builds decOff, decVE and decAnc with two counting sorts: the
+// virtual edges ordered by Anc depth, deepest first, are placed into their
+// Dec's bucket in that order.
+func (a *Aggregator) groupByDec() {
+	t, ves := a.VG.T, a.VG.VEdges
+	maxDepth := 0
+	for _, d := range t.Depth {
+		maxDepth = max(maxDepth, d)
+	}
+	// Counted one slot up and summed, byDepth[maxDepth-d] is the next free
+	// position in order of the virtual edges whose Anc has depth d.
+	byDepth := make([]int32, maxDepth+2)
+	a.decOff = make([]int32, t.G.N+1)
+	for i := range ves {
+		byDepth[maxDepth-t.Depth[ves[i].Anc]+1]++
+		a.decOff[ves[i].Dec+1]++
+	}
+	for i := 1; i < len(byDepth); i++ {
+		byDepth[i] += byDepth[i-1]
+	}
+	for v := 0; v < t.G.N; v++ {
+		a.decOff[v+1] += a.decOff[v]
+	}
+	order := make([]int32, len(ves))
+	for i := range ves {
+		k := maxDepth - t.Depth[ves[i].Anc]
+		order[byDepth[k]] = int32(i)
+		byDepth[k]++
+	}
+	next := slices.Clone(a.decOff[:t.G.N])
+	a.decVE = make([]int32, len(ves))
+	a.decAnc = make([]int32, len(ves))
+	for _, ve := range order {
+		dec := ves[ve].Dec
+		a.decVE[next[dec]] = ve
+		a.decAnc[next[dec]] = int32(ves[ve].Anc)
+		next[dec]++
+	}
 }
 
 // chargeIntraSegment bills the local scans of one aggregate call.
@@ -151,15 +204,19 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 	if err := primitives.GatherBroadcastAll(a.Net, a.BFS, &a.prim, a.perNode); err != nil {
 		return nil, fmt.Errorf("segments: claim 4.5 global step: %w", err)
 	}
+	// Each vertex folds its root path bottom-up once. A virtual edge's
+	// result is the fold's prefix below its Anc, so the edges it simulates
+	// take their results as the walk reaches their Ancs, nearest first.
 	out := make([]congest.Word, len(a.VG.VEdges))
 	parent := t.Parent
-	for ve := range out {
-		e := &a.VG.VEdges[ve]
-		acc := id
-		for x := e.Dec; x != e.Anc; x = parent[x] {
-			acc = op(acc, vals[x])
+	for v := range t.G.N {
+		acc, x := id, v
+		for i := a.decOff[v]; i < a.decOff[v+1]; i++ {
+			for anc := int(a.decAnc[i]); x != anc; x = parent[x] {
+				acc = op(acc, vals[x])
+			}
+			out[a.decVE[i]] = acc
 		}
-		out[ve] = acc
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package segments
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -9,6 +10,7 @@ import (
 
 	"twoecss/internal/congest"
 	"twoecss/internal/graph"
+	"twoecss/internal/mst"
 	"twoecss/internal/primitives"
 	"twoecss/internal/tree"
 	"twoecss/internal/vgraph"
@@ -217,7 +219,7 @@ func TestPerTreeEdgeMin(t *testing.T) {
 }
 
 // aggregatorOn builds an Aggregator for spanning tree rt of its graph.
-func aggregatorOn(t *testing.T, rt *tree.Rooted) *Aggregator {
+func aggregatorOn(t testing.TB, rt *tree.Rooted) *Aggregator {
 	t.Helper()
 	vg, err := vgraph.BuildFromGraph(rt)
 	if err != nil {
@@ -268,11 +270,59 @@ func randomSpanningTree(t *testing.T, rng *rand.Rand, g *graph.Graph) *tree.Root
 	return rt
 }
 
+// denseMultigraphTree roots a deep random tree on n vertices whose graph
+// also holds 6n non-tree edge pairs, each added one to three times: every
+// vertex simulates many virtual edges, several of them with one Anc.
+func denseMultigraphTree(t *testing.T, rng *rand.Rand, n int) *tree.Rooted {
+	t.Helper()
+	g := graph.New(n)
+	ids := make([]int, 0, n-1)
+	for v := 1; v < n; v++ {
+		p := v - 1
+		if rng.Intn(4) == 0 {
+			p = rng.Intn(v)
+		}
+		ids = append(ids, g.MustAddEdge(v, p, graph.Weight(1+rng.Intn(30))))
+	}
+	for k := 0; k < 6*n; k++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		for c := 1 + rng.Intn(3); c > 0; c-- {
+			g.MustAddEdge(u, v, graph.Weight(1+rng.Intn(30)))
+		}
+	}
+	rt, err := tree.NewFromEdgeSet(g, rng.Intn(n), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fixture must have the shape it is for.
+	vg, err := vgraph.BuildFromGraph(rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perDec := make([]int, n)
+	pairs := make(map[[2]int]int)
+	shared := 0
+	for _, e := range vg.VEdges {
+		perDec[e.Dec]++
+		if pairs[[2]int{e.Dec, e.Anc}]++; pairs[[2]int{e.Dec, e.Anc}] == 2 {
+			shared++
+		}
+	}
+	if slices.Max(perDec) < 8 || shared < n/4 {
+		t.Fatalf("dense fixture: at most %d virtual edges per Dec, %d (Dec, Anc) pairs shared", slices.Max(perDec), shared)
+	}
+	return rt
+}
+
 // TestAggregatorPathWalksMatchCoverSets checks the aggregates, which walk
 // cover paths instead of storing them, against folds over the reference
 // cover sets vgraph.CoveredTreeEdges, bit for bit and in the documented
-// fold order, on random BFS trees, path trees and random non-MST spanning
-// trees.
+// fold order, on random BFS trees, path trees, random non-MST spanning
+// trees and dense multigraphs, where PerVEdge's one walk per vertex
+// serves many virtual edges, several ending at one Anc.
 func TestAggregatorPathWalksMatchCoverSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	var trees []*tree.Rooted
@@ -295,6 +345,8 @@ func TestAggregatorPathWalksMatchCoverSets(t *testing.T) {
 
 		rg := graph.RandomSpanningTreePlus(n+1, 2*n, cfg)
 		trees = append(trees, randomSpanningTree(t, rng, rg))
+
+		trees = append(trees, denseMultigraphTree(t, rng, 20+rng.Intn(60)))
 	}
 	// A non-associative, non-commutative op: any reordering shows.
 	mix := func(x, y congest.Word) congest.Word { return 31*x + y }
@@ -414,5 +466,52 @@ func TestAggregatorSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, perTreeEdge); allocs != 1 {
 		t.Errorf("PerTreeEdge allocated %.1f objects per call, want 1 (its result)", allocs)
+	}
+}
+
+// BenchmarkAggregatorFolds times warm PerVEdge (a float sum, as tap's
+// forward phase folds) and PerTreeEdge (a min) on the solve's tree, the
+// MST, of E-table instances. Each op is one call: the engine-simulated
+// global step, the analytic bill and the central fold.
+func BenchmarkAggregatorFolds(b *testing.B) {
+	for _, fx := range []struct {
+		fam string
+		n   int
+	}{{"er", 256}, {"ring", 256}, {"er", 1024}} {
+		g, err := graph.ByFamily(fx.fam, fx.n, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := mst.KruskalTree(g, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := aggregatorOn(b, rt)
+		value := func(c int) congest.Word { return congest.Word(math.Float64bits(float64(c) + 0.5)) }
+		contribute := func(ve int) (congest.Word, bool) { return congest.Word(a.VG.VEdges[ve].W), ve%3 != 0 }
+		lower := func(x, y congest.Word) congest.Word { return min(x, y) }
+		perVEdge := func(b *testing.B) {
+			if _, err := a.PerVEdge(value, fsumWord, congest.Word(math.Float64bits(0))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perTreeEdge := func(b *testing.B) {
+			if _, err := a.PerTreeEdge(contribute, lower, math.MaxInt64); err != nil {
+				b.Fatal(err)
+			}
+		}
+		name := fmt.Sprintf("%s/n=%d", fx.fam, fx.n)
+		for _, f := range []struct {
+			name string
+			call func(*testing.B)
+		}{{"PerVEdge", perVEdge}, {"PerTreeEdge", perTreeEdge}} {
+			b.Run(name+"/"+f.name, func(b *testing.B) {
+				f.call(b) // warm
+				b.ReportAllocs()
+				for b.Loop() {
+					f.call(b)
+				}
+			})
+		}
 	}
 }

@@ -81,6 +81,10 @@ type Solver struct {
 	nonTree   []int
 	weights   []int64
 	prim      primitives.Scratch // node state of the goodness test's global sums
+	// tally[c] counts tree edge c in maxDegree and evaluate; the entries
+	// they touch are listed in touched and reset before they return.
+	tally   []int32
+	touched []int
 }
 
 // NewSolver prepares a solver over the network graph and spanning tree t,
@@ -93,6 +97,7 @@ func NewSolver(net *congest.Network, bfs, t *tree.Rooted, b shortcuts.Builder) (
 	s := &Solver{Net: net, BFS: bfs, T: t, Tools: tl, nonTree: t.NonTreeEdgeIDs()}
 	s.coverSets = make([][]int, len(s.nonTree))
 	s.weights = make([]int64, len(s.nonTree))
+	s.tally = make([]int32, t.G.N)
 	for j, id := range s.nonTree {
 		e := t.G.Edges[id]
 		w := t.LCA(e.U, e.V)
@@ -254,36 +259,48 @@ func (s *Solver) bestEdge(counts []int, chosen []bool) int {
 	return best
 }
 
+// maxDegree is the largest number of candidates covering one marked tree
+// edge.
 func (s *Solver) maxDegree(candidates []int, marked []bool) int {
-	deg := make(map[int]int)
+	d := int32(0)
 	for _, j := range candidates {
 		for _, c := range s.coverSets[j] {
 			if marked[c] {
-				deg[c]++
+				if s.tally[c] == 0 {
+					s.touched = append(s.touched, c)
+				}
+				s.tally[c]++
+				d = max(d, s.tally[c])
 			}
 		}
 	}
-	d := 0
-	for _, k := range deg {
-		if k > d {
-			d = k
-		}
-	}
-	return d
+	s.resetTally()
+	return int(d)
 }
 
+// evaluate returns the number of marked tree edges the sample covers and
+// the sample's total weight.
 func (s *Solver) evaluate(sample []int, marked []bool) (int, int64) {
-	seen := map[int]bool{}
 	var w int64
 	for _, j := range sample {
 		w += s.weights[j]
 		for _, c := range s.coverSets[j] {
-			if marked[c] {
-				seen[c] = true
+			if marked[c] && s.tally[c] == 0 {
+				s.tally[c] = 1
+				s.touched = append(s.touched, c)
 			}
 		}
 	}
-	return len(seen), w
+	covered := len(s.touched)
+	s.resetTally()
+	return covered, w
+}
+
+func (s *Solver) resetTally() {
+	for _, c := range s.touched {
+		s.tally[c] = 0
+	}
+	s.touched = s.touched[:0]
 }
 
 func (s *Solver) commit(sample []int, marked, chosen []bool, res *Result) int {

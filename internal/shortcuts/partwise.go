@@ -15,31 +15,30 @@ import (
 // BFS tree (members aggregate, steiner relays forward). Building the plan
 // walks every part subgraph once; Aggregate can then run any number of
 // times (the tool hierarchy re-aggregates over the same partitions every
-// level call) without rebuilding trees or allocating per-part state. A
-// plan is not safe for concurrent use.
+// level call) without rebuilding trees or allocating. A plan is not safe
+// for concurrent use.
 //
 // The tables are laid out so that a vertex's handler pays per message it
-// receives or sends and per role it holds, never per incident edge: a
-// received message finds its role by a search over the vertex's own part
-// ids, a role's child edges are listed, and a vertex emits only from the
-// queues it has filled.
+// receives or sends and per role it holds, never per incident edge or per
+// search: a message names the role it is for, a role's tree neighbours
+// are listed with their roles, and a vertex emits only from the queues it
+// has filled.
 type AggPlan struct {
 	g    *graph.Graph
 	part *Partition
 
 	// Roles are numbered vertex by vertex: v's roles are the indices
-	// [roleStart[v], roleStart[v+1]), in ascending part order, and
-	// rolePart holds their parts, so roleOf searches one short sorted run.
+	// [roleStart[v], roleStart[v+1]), in ascending part order.
 	roleStart []int32
-	rolePart  []int32
-	// parentSlot[ri] is the half-edge slot (2*edgeID+dir, dir 1 when the
-	// sender is the edge's V endpoint) role ri sends up on; -1 at the
-	// leader.
-	parentSlot []int32
-	// Role ri's child slots, ordered as its vertex's row, are
-	// childSlot[childStart[ri]:childStart[ri+1]].
-	childStart []int32
-	childSlot  []int32
+	// memberRole[v] is v's role in its own part, -1 when v is in none.
+	memberRole []int32
+	// up[ri] is the hop role ri sends on toward its part's leader; its
+	// slot is -1 at the leader.
+	up []hop
+	// Role ri's children are down[downStart[ri]:downStart[ri+1]], ordered
+	// as its vertex's row.
+	downStart []int32
+	down      []hop
 	// rowPos[slot] is the position of the slot's edge in its sender's
 	// row, the order a vertex emits in.
 	rowPos []int32
@@ -50,17 +49,13 @@ type AggPlan struct {
 	result     []Word
 	haveResult []bool
 	started    []bool
-	// queues[slot] is the FIFO of payloads (tag, part, value) the slot's
-	// sender still has to push over that edge, one per round; heads index
-	// into the queue slices to avoid re-slicing writes. A slot is written
-	// only by its sending vertex's handler. The queues are kept across
-	// runs, amortizing their allocation to zero.
-	queues [][][3]Word
-	heads  []int32
-	// A slot's queue and head are this run's only when stamp[slot] == run;
-	// a stale slot is reset on its first push, so a run pays for the
-	// slots it uses and nothing else.
-	stamp []uint64
+	// Every payload (tag, role, value) queued this run lives in arena,
+	// linked through next. fifo[slot] is the queue of payloads the slot's
+	// sender still has to push over that edge, one per round. A slot is
+	// written only by its sending vertex's handler.
+	arena [][3]Word
+	next  []int32
+	fifo  []fifo
 	run   uint64
 	// v's non-empty queues are the slots live[off[v]:off[v]+liveN[v]]
 	// (off the graph's CSR row offsets), ordered by rowPos: a vertex has
@@ -69,6 +64,20 @@ type AggPlan struct {
 	off   []int32
 	live  []int32
 	liveN []int32
+}
+
+// A hop is one step along a part's BFS tree: the half-edge slot
+// (2*edgeID+dir, dir 1 when the sender is the edge's V endpoint) a role
+// sends on, and the role at the slot's far end that the message is for.
+type hop struct{ slot, role int32 }
+
+// A fifo runs from arena index head to tail through the links next; head
+// is -1 when it is empty. Its head and tail are this run's only when
+// stamp == run: a stale fifo is reset on its first push, so a run pays for
+// the slots it uses and nothing else.
+type fifo struct {
+	stamp      uint64
+	head, tail int32
 }
 
 // NewAggPlan builds the plan: per-part BFS trees over G[V_p]+H_p rooted at
@@ -134,42 +143,54 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 		pl.roleStart[v+1] += pl.roleStart[v]
 	}
 	next := append([]int32(nil), pl.roleStart[:g.N]...)
-	pl.rolePart = make([]int32, nr)
-	pl.parentSlot = make([]int32, nr)
+	rolePart := make([]int32, nr)
+	pl.up = make([]hop, nr)
+	pl.memberRole = make([]int32, g.N)
+	for v := range pl.memberRole {
+		pl.memberRole[v] = -1
+	}
 	for _, r := range protos {
 		ri := next[r.v]
 		next[r.v]++
-		pl.rolePart[ri] = r.part
-		pl.parentSlot[ri] = -1
+		rolePart[ri] = r.part
+		pl.up[ri] = hop{slot: -1, role: -1}
 		if r.parentEdge >= 0 {
-			pl.parentSlot[ri] = slotOf(r.parentEdge, r.v)
+			pl.up[ri].slot = slotOf(r.parentEdge, r.v)
+		}
+		if int32(part.Of[r.v]) == r.part {
+			pl.memberRole[r.v] = ri
 		}
 	}
-	// A child's parent slot, reversed, is its parent's child slot.
-	parentRole := make([]int32, nr)
-	pl.childStart = make([]int32, nr+1)
+	// roleOf returns v's role in part p: parts ascend within v's roles.
+	roleOf := func(v, p int32) int32 {
+		lo, hi := pl.roleStart[v], pl.roleStart[v+1]
+		i, _ := slices.BinarySearch(rolePart[lo:hi], p)
+		return lo + int32(i)
+	}
+	// A child's up hop, reversed, is one of its parent's down hops.
+	pl.downStart = make([]int32, nr+1)
 	for v := int32(0); v < int32(g.N); v++ {
 		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
-			if ps := pl.parentSlot[ri]; ps >= 0 {
-				parentRole[ri] = pl.roleOf(us[ps>>1]^vs[ps>>1]^v, pl.rolePart[ri])
-				pl.childStart[parentRole[ri]+1]++
+			if ps := pl.up[ri].slot; ps >= 0 {
+				pl.up[ri].role = roleOf(us[ps>>1]^vs[ps>>1]^v, rolePart[ri])
+				pl.downStart[pl.up[ri].role+1]++
 			}
 		}
 	}
 	for ri := 0; ri < nr; ri++ {
-		pl.childStart[ri+1] += pl.childStart[ri]
+		pl.downStart[ri+1] += pl.downStart[ri]
 	}
-	pl.childSlot = make([]int32, pl.childStart[nr])
-	fill := append([]int32(nil), pl.childStart[:nr]...)
-	for ri, ps := range pl.parentSlot {
-		if ps >= 0 {
-			pl.childSlot[fill[parentRole[ri]]] = ps ^ 1
-			fill[parentRole[ri]]++
+	pl.down = make([]hop, pl.downStart[nr])
+	fill := append([]int32(nil), pl.downStart[:nr]...)
+	for ri, u := range pl.up {
+		if u.slot >= 0 {
+			pl.down[fill[u.role]] = hop{slot: u.slot ^ 1, role: int32(ri)}
+			fill[u.role]++
 		}
 	}
 	for ri := 0; ri < nr; ri++ {
-		slices.SortFunc(pl.childSlot[pl.childStart[ri]:pl.childStart[ri+1]], func(a, b int32) int {
-			return int(pl.rowPos[a] - pl.rowPos[b])
+		slices.SortFunc(pl.down[pl.downStart[ri]:pl.downStart[ri+1]], func(a, b hop) int {
+			return int(pl.rowPos[a.slot] - pl.rowPos[b.slot])
 		})
 	}
 
@@ -178,44 +199,38 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	pl.result = make([]Word, nr)
 	pl.haveResult = make([]bool, nr)
 	pl.started = make([]bool, nr)
-	pl.queues = make([][][3]Word, 2*g.M())
-	pl.heads = make([]int32, 2*g.M())
-	pl.stamp = make([]uint64, 2*g.M())
+	pl.fifo = make([]fifo, 2*g.M())
 	pl.off = off
 	pl.live = make([]int32, 2*g.M())
 	pl.liveN = make([]int32, g.N)
 	return pl
 }
 
-// roleOf returns v's role index in part p, or -1.
-func (pl *AggPlan) roleOf(v, p int32) int32 {
-	lo, hi := pl.roleStart[v], pl.roleStart[v+1]
-	if i, ok := slices.BinarySearch(pl.rolePart[lo:hi], p); ok {
-		return lo + int32(i)
+// push queues payload (tag, role, val) on slot, sent by v.
+func (pl *AggPlan) push(v, slot int32, tag Word, role int32, val Word) {
+	f := &pl.fifo[slot]
+	if f.stamp != pl.run { // first use this run
+		f.stamp = pl.run
+		f.head = -1
 	}
-	return -1
-}
-
-// push queues payload (tag, p, val) on slot, sent by v.
-func (pl *AggPlan) push(v, slot int32, tag, p, val Word) {
-	if pl.stamp[slot] != pl.run { // first use this run
-		pl.stamp[slot] = pl.run
-		pl.queues[slot] = pl.queues[slot][:0]
-		pl.heads[slot] = 0
-	}
-	q := pl.queues[slot]
-	if int(pl.heads[slot]) == len(q) {
+	i := int32(len(pl.arena))
+	pl.arena = append(pl.arena, [3]Word{tag, Word(role), val})
+	pl.next = append(pl.next, -1)
+	if f.head < 0 {
+		f.head = i
 		// The queue was empty: insert the slot into v's live list, in
 		// row order.
 		live := pl.live[pl.off[v] : pl.off[v]+pl.liveN[v]+1]
-		i := len(live) - 1
-		for ; i > 0 && pl.rowPos[live[i-1]] > pl.rowPos[slot]; i-- {
-			live[i] = live[i-1]
+		j := len(live) - 1
+		for ; j > 0 && pl.rowPos[live[j-1]] > pl.rowPos[slot]; j-- {
+			live[j] = live[j-1]
 		}
-		live[i] = slot
+		live[j] = slot
 		pl.liveN[v]++
+	} else {
+		pl.next[f.tail] = i
 	}
-	pl.queues[slot] = append(q, [3]Word{tag, p, val})
+	f.tail = i
 }
 
 const (
@@ -231,9 +246,9 @@ func (pl *AggPlan) Aggregate(net *congest.Network, x []Word, op Combine) ([]Word
 		return nil, err
 	}
 	out := make([]Word, pl.g.N)
-	for v, p := range pl.part.Of {
-		if p >= 0 {
-			out[v] = pl.result[pl.roleOf(int32(v), int32(p))]
+	for v, ri := range pl.memberRole {
+		if ri >= 0 {
+			out[v] = pl.result[ri]
 		}
 	}
 	return out, nil
@@ -249,15 +264,14 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 	if len(x) != g.N {
 		return fmt.Errorf("shortcuts: input length %d != n", len(x))
 	}
-	part := pl.part
 
 	// Reset run-state. An errored run may leave queues behind.
 	for v := 0; v < g.N; v++ {
 		for ri := pl.roleStart[v]; ri < pl.roleStart[v+1]; ri++ {
-			pl.pend[ri] = pl.childStart[ri+1] - pl.childStart[ri]
+			pl.pend[ri] = pl.downStart[ri+1] - pl.downStart[ri]
 			pl.haveResult[ri] = false
 			pl.started[ri] = false
-			if int32(part.Of[v]) == pl.rolePart[ri] {
+			if ri == pl.memberRole[v] {
 				pl.acc[ri] = x[v]
 			} else {
 				pl.acc[ri] = identityHint // steiner relay: contributes nothing
@@ -265,17 +279,19 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 		}
 		pl.liveN[v] = 0
 	}
+	pl.arena, pl.next = pl.arena[:0], pl.next[:0]
 	pl.run++
 
 	handler := func(v int, inbox []congest.Msg) bool {
 		v32 := int32(v)
+		lo, hi := pl.roleStart[v], pl.roleStart[v+1]
 		for _, m := range inbox {
 			w := net.Words(m)
-			tag, p, val := w[0], int32(w[1]), w[2]
-			ri := pl.roleOf(v32, p)
-			if ri < 0 {
-				continue
+			tag, val := w[0], w[2]
+			if w[1] < Word(lo) || w[1] >= Word(hi) {
+				continue // not one of v's roles
 			}
+			ri := int32(w[1])
 			switch tag {
 			case tagUp:
 				switch {
@@ -293,13 +309,12 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 				// Forward downward on all child edges (enqueued once).
 			}
 		}
-		lo, hi := pl.roleStart[v], pl.roleStart[v+1]
 		// Role transitions.
 		for ri := lo; ri < hi; ri++ {
 			if pl.pend[ri] == 0 && !pl.started[ri] {
 				pl.started[ri] = true
-				if ps := pl.parentSlot[ri]; ps >= 0 {
-					pl.push(v32, ps, tagUp, Word(pl.rolePart[ri]), pl.acc[ri])
+				if u := pl.up[ri]; u.slot >= 0 {
+					pl.push(v32, u.slot, tagUp, u.role, pl.acc[ri])
 				} else {
 					pl.result[ri] = pl.acc[ri]
 					pl.haveResult[ri] = true
@@ -311,8 +326,8 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 		for ri := lo; ri < hi; ri++ {
 			if pl.haveResult[ri] && pl.pend[ri] != -1 {
 				pl.pend[ri] = -1
-				for _, cs := range pl.childSlot[pl.childStart[ri]:pl.childStart[ri+1]] {
-					pl.push(v32, cs, tagDown, Word(pl.rolePart[ri]), pl.result[ri])
+				for _, d := range pl.down[pl.downStart[ri]:pl.downStart[ri+1]] {
+					pl.push(v32, d.slot, tagDown, d.role, pl.result[ri])
 				}
 			}
 		}
@@ -320,10 +335,10 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 		live := pl.live[pl.off[v] : pl.off[v]+pl.liveN[v]]
 		kept := live[:0]
 		for _, slot := range live {
-			q, head := pl.queues[slot], pl.heads[slot]
-			net.Send(v, int(slot>>1), q[head][:]...)
-			pl.heads[slot] = head + 1
-			if int(head)+1 < len(q) {
+			f := &pl.fifo[slot]
+			i := f.head
+			net.Send(v, int(slot>>1), pl.arena[i][:]...)
+			if f.head = pl.next[i]; f.head >= 0 {
 				kept = append(kept, slot)
 			}
 		}
@@ -332,16 +347,16 @@ func (pl *AggPlan) simulate(net *congest.Network, x []Word, op Combine) error {
 		// round only if a queue still holds payloads.
 		return len(kept) > 0
 	}
-	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.rolePart) + 64)
+	maxRounds := int64(8*(g.N+g.M()) + 16*len(pl.up) + 64)
 	if err := net.Run(handler, nil, maxRounds); err != nil {
 		return err
 	}
 	missing := 0
-	for v, p := range part.Of {
+	for v, p := range pl.part.Of {
 		if p < 0 {
 			continue
 		}
-		if ri := pl.roleOf(int32(v), int32(p)); ri < 0 || !pl.haveResult[ri] {
+		if ri := pl.memberRole[v]; ri < 0 || !pl.haveResult[ri] {
 			missing++
 		}
 	}

@@ -164,13 +164,37 @@ func goLiteral(ps []aggPin) string {
 	return s + "}"
 }
 
+// TestAggPlanWarmRunAllocs checks that once a plan has run, a run of it
+// allocates nothing: the queues live in its arena and the engine reuses
+// its buffers. The fixtures are BenchmarkAggregate's.
+func TestAggPlanWarmRunAllocs(t *testing.T) {
+	or := func(a, b Word) Word { return a | b }
+	for _, fx := range aggBenchFixtures {
+		net, plans := aggFixture(t, fx.fam, 127, fx.builder)
+		x := aggInput(net.G.N)
+		for li, plan := range plans {
+			run := func() {
+				if err := plan.simulate(net, x, or); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("%s/%s level %d: a warm run allocated %.1f objects, want 0", fx.fam, fx.builder, li+1, allocs)
+			}
+		}
+	}
+}
+
+var aggBenchFixtures = []struct{ fam, builder string }{
+	{"treeleafcycle", "steiner"},
+	{"er", "global-bfs"},
+}
+
 // BenchmarkAggregate times one pass over every hierarchy level of an E4
 // fixture: the per-level aggregations one Tools.billLevels call simulates.
 func BenchmarkAggregate(b *testing.B) {
-	for _, fx := range []struct{ fam, builder string }{
-		{"treeleafcycle", "steiner"},
-		{"er", "global-bfs"},
-	} {
+	for _, fx := range aggBenchFixtures {
 		b.Run(fmt.Sprintf("%s-%s-n127", fx.fam, fx.builder), func(b *testing.B) {
 			net, plans := aggFixture(b, fx.fam, 127, fx.builder)
 			x := aggInput(net.G.N)

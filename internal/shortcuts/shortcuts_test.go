@@ -349,23 +349,26 @@ func TestCoverCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tl, rt := toolsFixture(t, 12, 45, 50)
 	marked := make([]bool, rt.G.N)
-	for v := 0; v < rt.G.N; v++ {
-		marked[v] = v != rt.Root && rng.Intn(2) == 0
-	}
-	got, err := tl.CoverCount(marked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range rt.NonTreeEdgeIDs() {
-		e := rt.G.Edges[id]
-		want := 0
-		for c := 0; c < rt.G.N; c++ {
-			if c != rt.Root && marked[c] && rt.Covers(e.U, e.V, c) {
-				want++
-			}
+	// Two calls: the second reads the LCAs the first one computed.
+	for call := 0; call < 2; call++ {
+		for v := 0; v < rt.G.N; v++ {
+			marked[v] = v != rt.Root && rng.Intn(2) == 0
 		}
-		if got[id] != want {
-			t.Fatalf("cover count of edge %d: got %d want %d", id, got[id], want)
+		got, err := tl.CoverCount(marked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range rt.NonTreeEdgeIDs() {
+			e := rt.G.Edges[id]
+			want := 0
+			for c := 0; c < rt.G.N; c++ {
+				if c != rt.Root && marked[c] && rt.Covers(e.U, e.V, c) {
+					want++
+				}
+			}
+			if got[id] != want {
+				t.Fatalf("call %d: cover count of edge %d: got %d want %d", call, id, got[id], want)
+			}
 		}
 	}
 }

@@ -104,6 +104,10 @@ type Tools struct {
 	// billLevels call still simulates the aggregation messages and bills
 	// the construction charge gamma, exactly as the uncached version did.
 	levels []levelState
+	// lcaOf[id] is the LCA of non-tree edge id's endpoints and -1 for a
+	// tree edge, computed on CoverCount's first call: T is fixed, so every
+	// call reads the same values.
+	lcaOf []int32
 }
 
 type levelState struct {
@@ -285,13 +289,20 @@ func (tl *Tools) CoverCount(marked []bool) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
+	if tl.lcaOf == nil {
+		tl.lcaOf = make([]int32, g.M())
+		for id, e := range g.Edges {
+			tl.lcaOf[id] = -1
+			if !t.IsTreeEdge(id) {
+				tl.lcaOf[id] = int32(t.LCA(e.U, e.V))
+			}
+		}
+	}
 	out := make([]int, g.M())
 	for id, e := range g.Edges {
-		if t.IsTreeEdge(id) {
-			continue
+		if w := tl.lcaOf[id]; w >= 0 {
+			out[id] = int(m[e.U] + m[e.V] - 2*m[w])
 		}
-		w := t.LCA(e.U, e.V)
-		out[id] = int(m[e.U] + m[e.V] - 2*m[w])
 	}
 	return out, nil
 }
