@@ -15,8 +15,11 @@
 // Some sub-routines the paper cites from prior work (MST construction, LCA
 // labels, segment decomposition construction) are not re-proved there; for
 // those the engine provides Charge, an analytic round bill recorded
-// separately from simulated rounds. DESIGN.md lists which component uses
-// which channel.
+// separately from simulated rounds. A third channel, RunOnce, bills a
+// schedule whose sends depend on no value it carries: the first run is
+// simulated and measured into a Bill, and later runs on the same network
+// add that measured cost to the ledger without simulating again. DESIGN.md
+// lists which component uses which channel.
 package congest
 
 import (
@@ -183,6 +186,65 @@ func (n *Network) Charge(k int64, why string) error {
 		return fmt.Errorf("congest: negative charge %d (%s)", k, why)
 	}
 	n.stats.ChargedRounds += k
+	return nil
+}
+
+// recheckBills, when set, makes RunOnce simulate every run, also when its
+// bill is valid, and fail when the run's cost differs from the bill. Only
+// the congestcheck build and this package's tests set it.
+var recheckBills bool
+
+// Bill is the measured cost of one schedule on one network, recorded by
+// RunOnce. The zero Bill is empty.
+type Bill struct {
+	net  *Network
+	wpe  int   // the network's WordsPerEdge when the bill was measured
+	cost Stats // the run's ledger delta; MaxEdgeWords is its widest edge-round
+}
+
+// RunOnce bills the schedule run, which must send the same messages in the
+// same rounds on every call: no send may depend on a value it carries or
+// on state a previous call left behind. When b holds a cost measured on n
+// at its current WordsPerEdge and no Observer is armed, RunOnce adds that
+// cost to the ledger (rounds, messages, words and the MaxEdgeWords
+// maximum) without calling run, so phase spans see it as if run had run.
+// Otherwise it calls run and records in b what the run cost; an observed
+// network thus always simulates, and its samples cover every billed round.
+// A re-measured run whose cost differs from a valid bill is an error, and
+// so is a run that begins or ends a phase. When run fails, b is left
+// empty and its error is returned.
+func (n *Network) RunOnce(b *Bill, run func() error) error {
+	valid := b.net == n && b.wpe == n.WordsPerEdge
+	if valid && n.Observer == nil && !recheckBills {
+		n.stats.SimulatedRounds += b.cost.SimulatedRounds
+		n.stats.ChargedRounds += b.cost.ChargedRounds
+		n.stats.Messages += b.cost.Messages
+		n.stats.Words += b.cost.Words
+		n.stats.MaxEdgeWords = max(n.stats.MaxEdgeWords, b.cost.MaxEdgeWords)
+		return nil
+	}
+	before, spans, open := n.stats, len(n.phases), len(n.open)
+	n.stats.MaxEdgeWords = 0
+	err := run()
+	cost := Stats{
+		SimulatedRounds: n.stats.SimulatedRounds - before.SimulatedRounds,
+		ChargedRounds:   n.stats.ChargedRounds - before.ChargedRounds,
+		Messages:        n.stats.Messages - before.Messages,
+		Words:           n.stats.Words - before.Words,
+		MaxEdgeWords:    n.stats.MaxEdgeWords,
+	}
+	n.stats.MaxEdgeWords = max(before.MaxEdgeWords, cost.MaxEdgeWords)
+	if err == nil && (len(n.phases) != spans || len(n.open) != open) {
+		err = fmt.Errorf("congest: a RunOnce schedule began or ended a phase")
+	}
+	if err != nil {
+		*b = Bill{}
+		return err
+	}
+	if valid && cost != b.cost {
+		return fmt.Errorf("congest: rebilled schedule cost %+v, its bill says %+v", cost, b.cost)
+	}
+	*b = Bill{net: n, wpe: n.WordsPerEdge, cost: cost}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package shortcuts
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -369,6 +370,76 @@ func TestCoverCount(t *testing.T) {
 			if got[id] != want {
 				t.Fatalf("call %d: cover count of edge %d: got %d want %d", call, id, got[id], want)
 			}
+		}
+	}
+}
+
+// TestToolsRebillMatchesSimulation checks that tool calls bill what full
+// simulations cost: k CoverCount and CoveredDetection calls with
+// different inputs, which simulate each level's aggregation once and
+// rebill it afterwards, leave the ledger equal to k passes of gamma
+// charges and simulations of every level on a twin network, run with
+// other payloads.
+func TestToolsRebillMatchesSimulation(t *testing.T) {
+	fixtures := []struct {
+		fam     string
+		n       int
+		builder string
+	}{
+		{aggBenchFixtures[0].fam, 127, aggBenchFixtures[0].builder},
+		{aggBenchFixtures[1].fam, 127, aggBenchFixtures[1].builder},
+		{"er", 256, "steiner"},
+		{"grid", 256, "steiner"},
+		{"ring", 256, "steiner"},
+	}
+	const k = 6
+	or := func(a, b Word) Word { return a | b }
+	for _, fx := range fixtures {
+		name := fmt.Sprintf("%s/%s/n=%d", fx.fam, fx.builder, fx.n)
+		tl := e4Tools(t, fx.fam, fx.n, fx.builder)
+		g := tl.T.G
+		rng := rand.New(rand.NewSource(int64(fx.n)))
+		tl.Net.ResetAccounting()
+		nonTree := tl.T.NonTreeEdgeIDs()
+		marked := make([]bool, g.N)
+		for call := range k {
+			if call%2 == 0 {
+				for v := range marked {
+					marked[v] = rng.Intn(2) == 0
+				}
+				if _, err := tl.CoverCount(marked); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				continue
+			}
+			var s []int
+			for _, id := range nonTree {
+				if rng.Intn(2) == 0 {
+					s = append(s, id)
+				}
+			}
+			if _, err := tl.CoveredDetection(s, rng); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+
+		twin := congest.NewNetwork(g)
+		x := make([]Word, g.N)
+		for range k {
+			for v := range x {
+				x[v] = Word(rng.Int63())
+			}
+			for _, ls := range tl.levels {
+				if err := twin.Charge(ls.sc.BuildRounds, "gamma"); err != nil {
+					t.Fatal(err)
+				}
+				if err := ls.plan.simulate(twin, x, or); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+		}
+		if got, want := tl.Net.Stats(), twin.Stats(); got != want || want.Messages == 0 {
+			t.Errorf("%s: %d tool calls billed %+v, %d simulations cost %+v", name, k, got, k, want)
 		}
 	}
 }

@@ -98,22 +98,28 @@ type Tools struct {
 	// shortcut constructions performed by the tools.
 	MaxQuality int
 
-	// levels caches, per hierarchy level, the partition, its shortcut, and
-	// the part-wise aggregation plan. The hierarchy and builder are fixed
-	// for the lifetime of the Tools, so construction runs once; every
-	// billLevels call still simulates the aggregation messages and bills
-	// the construction charge gamma, exactly as the uncached version did.
+	// levels caches, per hierarchy level, the partition, its shortcut, the
+	// part-wise aggregation plan and the bill of its aggregation. The
+	// hierarchy and builder are fixed for the lifetime of the Tools, so
+	// construction runs once. Every billLevels call bills the construction
+	// charge gamma and each level's aggregation, whose sends depend on no
+	// value: the first call on a network simulates it message by message,
+	// and later calls add its measured cost (congest.Network.RunOnce).
 	levels []levelState
 	// lcaOf[id] is the LCA of non-tree edge id's endpoints and -1 for a
 	// tree edge, computed on CoverCount's first call: T is fixed, so every
-	// call reads the same values.
+	// call reads the same values. ccIn and ccOut are CoverCount's input
+	// and its table by edge id, reused across calls.
 	lcaOf []int32
+	ccIn  []Word
+	ccOut []int
 }
 
 type levelState struct {
 	part *Partition
 	sc   *Shortcut
 	plan *AggPlan
+	bill congest.Bill
 }
 
 // ensureLevels builds the per-level cache on first use.
@@ -145,22 +151,27 @@ func NewTools(net *congest.Network, t *tree.Rooted, b Builder) (*Tools, error) {
 	return &Tools{Net: net, T: t, H: h, Builder: b}, nil
 }
 
-// billLevels runs one contention-faithful partwise aggregation per
+// billLevels bills one contention-faithful partwise aggregation per
 // hierarchy level, carrying the given per-vertex payload; this realizes the
 // O~(SC(G)) round bill of Theorems 5.1/5.2 with the realized shortcut
-// quality, and returns the maximum realized alpha+beta over levels.
+// quality, and returns the maximum realized alpha+beta over levels. Only
+// the first call on a network simulates a level; later calls add the cost
+// that run measured, which no payload can change.
 func (tl *Tools) billLevels(payload []Word) (int, error) {
 	if err := tl.ensureLevels(); err != nil {
 		return 0, err
 	}
 	maxQ := 0
 	or := func(a, b Word) Word { return a | b }
-	for _, ls := range tl.levels {
+	for i := range tl.levels {
+		ls := &tl.levels[i]
 		if err := tl.Net.Charge(ls.sc.BuildRounds, "shortcut construction (gamma)"); err != nil {
 			return 0, err
 		}
 		// The bill needs the messages, not the per-vertex results.
-		if err := ls.plan.simulate(tl.Net, payload, or); err != nil {
+		if err := tl.Net.RunOnce(&ls.bill, func() error {
+			return ls.plan.simulate(tl.Net, payload, or)
+		}); err != nil {
 			return 0, err
 		}
 		if q := ls.sc.Quality(); q > maxQ {
@@ -274,12 +285,25 @@ func (tl *Tools) CoveredDetection(s []int, rng *rand.Rand) ([]bool, error) {
 // CoverCount (Lemma 5.5): given marked tree edges (by child vertex), every
 // non-tree edge {u,v} learns how many marked tree edges it covers, via
 // marked-ancestor counts M_v + M_u - 2*M_w with w = LCA(u,v). The result
-// is indexed by graph edge id; tree edges read 0.
+// is indexed by graph edge id; tree edges read 0. It is valid until the
+// next CoverCount call, which reuses it.
 func (tl *Tools) CoverCount(marked []bool) ([]int, error) {
 	t := tl.T
 	g := t.G
-	x := make([]Word, g.N)
+	if tl.lcaOf == nil {
+		tl.lcaOf = make([]int32, g.M())
+		for id, e := range g.Edges {
+			tl.lcaOf[id] = -1
+			if !t.IsTreeEdge(id) {
+				tl.lcaOf[id] = int32(t.LCA(e.U, e.V))
+			}
+		}
+		tl.ccIn = make([]Word, g.N)
+		tl.ccOut = make([]int, g.M())
+	}
+	x := tl.ccIn
 	for v := 0; v < g.N; v++ {
+		x[v] = 0
 		if v != t.Root && marked[v] {
 			x[v] = 1
 		}
@@ -289,16 +313,7 @@ func (tl *Tools) CoverCount(marked []bool) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tl.lcaOf == nil {
-		tl.lcaOf = make([]int32, g.M())
-		for id, e := range g.Edges {
-			tl.lcaOf[id] = -1
-			if !t.IsTreeEdge(id) {
-				tl.lcaOf[id] = int32(t.LCA(e.U, e.V))
-			}
-		}
-	}
-	out := make([]int, g.M())
+	out := tl.ccOut
 	for id, e := range g.Edges {
 		if w := tl.lcaOf[id]; w >= 0 {
 			out[id] = int(m[e.U] + m[e.V] - 2*m[w])
