@@ -26,6 +26,17 @@ import (
 // folded centrally: PerVEdge walks each vertex's root path once for all the
 // virtual edges it simulates, PerTreeEdge walks each virtual edge's cover
 // path.
+//
+// The folds never read what the global steps deliver. PerTreeEdge's keyed
+// convergecast is simulated on every call: its schedule depends on which
+// segment keys each simulating vertex holds. The two broadcast-type steps
+// send by item count and tree alone, so they go through
+// congest.Network.RunOnce: PerVEdge's gather-broadcast of one item per
+// segment, at the segment's Desc, is simulated on the first call and
+// rebilled afterwards, and PerTreeEdge's table broadcast once per table
+// size. A rebilled call builds no items. A network with an Observer armed
+// simulates every call. Net and BFS must not change after NewAggregator:
+// the bills are measured on them.
 type Aggregator struct {
 	Net *congest.Network
 	// BFS is the communication tree over the network graph (height O(D)).
@@ -63,6 +74,12 @@ type Aggregator struct {
 	pnTouch  []int // vertices with non-empty perNode this call
 	itemBuf  []congest.Word
 	itemList []primitives.Item
+
+	// gatherBill is the measured cost of PerVEdge's gather-broadcast, and
+	// tableBills[k] that of PerTreeEdge's broadcast of a k-item table,
+	// k = 0..len(D.Segs).
+	gatherBill congest.Bill
+	tableBills []congest.Bill
 }
 
 // NewAggregator precomputes, per virtual edge, the segments its tree path
@@ -77,7 +94,7 @@ type Aggregator struct {
 // edges are also grouped by Dec, nearest Anc first, for PerVEdge's one
 // walk per vertex.
 func NewAggregator(net *congest.Network, bfs *tree.Rooted, d *Decomposition, vg *vgraph.VGraph) *Aggregator {
-	a := &Aggregator{Net: net, BFS: bfs, D: d, VG: vg}
+	a := &Aggregator{Net: net, BFS: bfs, D: d, VG: vg, tableBills: make([]congest.Bill, len(d.Segs)+1)}
 	nv := len(vg.VEdges)
 	depth := vg.T.Depth
 	a.groupByDec()
@@ -143,19 +160,49 @@ func (a *Aggregator) chargeIntraSegment(what string) error {
 	return a.Net.Charge(int64(3*a.D.MaxDiameter+3), what)
 }
 
-// itemsInto resets the per-segment item scratch and returns an empty item
-// list whose entries may be filled via appendItem.
+// itemsInto empties the per-segment item list, to be filled via
+// appendItem with at most one item per segment.
 func (a *Aggregator) itemsInto() {
+	if cap(a.itemBuf) < 2*len(a.D.Segs) {
+		a.itemBuf = make([]congest.Word, 0, 2*len(a.D.Segs))
+	}
 	a.itemBuf = a.itemBuf[:0]
 	a.itemList = a.itemList[:0]
 }
 
-// appendItem appends a two-word item backed by the reused flat buffer. The
-// buffer is pre-grown so appends never relocate live item payloads.
+// appendItem appends a two-word item backed by the reused flat buffer.
+// itemsInto pre-grows the buffer, so appends never relocate live item
+// payloads.
 func (a *Aggregator) appendItem(k, v congest.Word) {
 	a.itemBuf = append(a.itemBuf, k, v)
 	n := len(a.itemBuf)
 	a.itemList = append(a.itemList, primitives.Item(a.itemBuf[n-2:n:n]))
+}
+
+// highwayItems returns, per vertex, the items of the segments it is the
+// descendant of: (segment id, m_S), m_S the fold of vals over the
+// segment's highway edges.
+func (a *Aggregator) highwayItems(vals []congest.Word, op primitives.Combine, id congest.Word) [][]primitives.Item {
+	if a.perNode == nil {
+		a.perNode = make([][]primitives.Item, a.BFS.G.N)
+	}
+	for _, v := range a.pnTouch {
+		a.perNode[v] = a.perNode[v][:0]
+	}
+	a.pnTouch = a.pnTouch[:0]
+	a.itemsInto()
+	for _, seg := range a.D.Segs {
+		m := id
+		for i := 1; i < len(seg.Highway); i++ {
+			m = op(m, vals[seg.Highway[i]])
+		}
+		if len(a.perNode[seg.Desc]) == 0 {
+			a.pnTouch = append(a.pnTouch, seg.Desc)
+		}
+		a.appendItem(congest.Word(seg.ID), m)
+		a.perNode[seg.Desc] = append(a.perNode[seg.Desc], a.itemList[len(a.itemList)-1])
+	}
+	return a.perNode
 }
 
 // PerVEdge implements Claim 4.5: result[ve] = fold(op, id, value(c) for all
@@ -177,31 +224,12 @@ func (a *Aggregator) PerVEdge(value func(c int) congest.Word, op primitives.Comb
 		}
 	}
 	// Claim 4.4 global step: every vertex learns the per-segment highway
-	// aggregate m_S; simulated as a gather-broadcast of one item per
-	// segment, originated at the segment descendant.
-	if a.perNode == nil {
-		a.perNode = make([][]primitives.Item, a.BFS.G.N)
-	}
-	for _, v := range a.pnTouch {
-		a.perNode[v] = a.perNode[v][:0]
-	}
-	a.pnTouch = a.pnTouch[:0]
-	a.itemsInto()
-	if cap(a.itemBuf) < 2*len(a.D.Segs) {
-		a.itemBuf = make([]congest.Word, 0, 2*len(a.D.Segs))
-	}
-	for _, seg := range a.D.Segs {
-		m := id
-		for i := 1; i < len(seg.Highway); i++ {
-			m = op(m, vals[seg.Highway[i]])
-		}
-		if len(a.perNode[seg.Desc]) == 0 {
-			a.pnTouch = append(a.pnTouch, seg.Desc)
-		}
-		a.appendItem(congest.Word(seg.ID), m)
-		a.perNode[seg.Desc] = append(a.perNode[seg.Desc], a.itemList[len(a.itemList)-1])
-	}
-	if err := primitives.GatherBroadcastAll(a.Net, a.BFS, &a.prim, a.perNode); err != nil {
+	// aggregate m_S, a gather-broadcast of one item per segment,
+	// originated at the segment descendant. Its sends depend on the
+	// decomposition alone, so only the first call simulates it.
+	if err := a.Net.RunOnce(&a.gatherBill, func() error {
+		return primitives.GatherBroadcastAll(a.Net, a.BFS, &a.prim, a.highwayItems(vals, op, id))
+	}); err != nil {
 		return nil, fmt.Errorf("segments: claim 4.5 global step: %w", err)
 	}
 	// Each vertex folds its root path bottom-up once. A virtual edge's
@@ -273,15 +301,15 @@ func (a *Aggregator) PerTreeEdge(contribute func(ve int) (congest.Word, bool), o
 		return nil, fmt.Errorf("segments: claim 4.6 convergecast: %w", err)
 	}
 	// The table's keys are segment ids in ascending order, the order of
-	// D.Segs.
-	a.itemsInto()
-	if cap(a.itemBuf) < 2*len(a.D.Segs) {
-		a.itemBuf = make([]congest.Word, 0, 2*len(a.D.Segs))
-	}
-	for i, k := range table.Keys {
-		a.appendItem(k, table.Vals[i])
-	}
-	if err := primitives.BroadcastAll(a.Net, a.BFS, &a.prim, a.itemList); err != nil {
+	// D.Segs. The broadcast's sends depend only on how many items it
+	// carries, so each table size is simulated once.
+	if err := a.Net.RunOnce(&a.tableBills[len(table.Keys)], func() error {
+		a.itemsInto()
+		for i, k := range table.Keys {
+			a.appendItem(k, table.Vals[i])
+		}
+		return primitives.BroadcastAll(a.Net, a.BFS, &a.prim, a.itemList)
+	}); err != nil {
 		return nil, fmt.Errorf("segments: claim 4.6 broadcast: %w", err)
 	}
 

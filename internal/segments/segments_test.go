@@ -469,10 +469,110 @@ func TestAggregatorSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// roundCounter is an Observer: a network with one armed simulates every
+// RunOnce schedule instead of rebilling it.
+type roundCounter struct{ rounds int64 }
+
+func (r *roundCounter) ObserveRound(congest.RoundSample) { r.rounds++ }
+
+// TestAggregatorRebillMatchesSimulation runs the same interleaved PerVEdge
+// and PerTreeEdge calls on twin aggregators, one on an observed network,
+// which simulates every global step, and one on an unobserved network,
+// which rebills its broadcast-type steps. The contributing virtual edges
+// change from call to call (none, all and several sizes between), so
+// table sizes repeat with different contributors, and after every call
+// both ledgers and results must be equal.
+func TestAggregatorRebillMatchesSimulation(t *testing.T) {
+	var trees []*tree.Rooted
+	for _, fam := range []string{"er", "grid", "ring"} {
+		g, err := graph.ByFamily(fam, 256, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := mst.KruskalTree(g, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, rt)
+	}
+	trees = append(trees, denseMultigraphTree(t, rand.New(rand.NewSource(30)), 200))
+	sum := func(x, y congest.Word) congest.Word { return x + y }
+	for i, rt := range trees {
+		a, sim := aggregatorOn(t, rt), aggregatorOn(t, rt)
+		obs := &roundCounter{}
+		sim.Net.Observer = obs
+		base := sim.Net.Stats().SimulatedRounds
+		rng := rand.New(rand.NewSource(int64(i)))
+		nv := len(a.VG.VEdges)
+		oks := make([]bool, nv)
+		sizes := map[int]int{} // calls per table size
+		// Shares of contributing virtual edges: 0 and 1 give none and all.
+		for call, share := range []float64{0, 1, 0.5, 0.01, 0.002, 0, 1, 0.5, 0.01, 0.002, 0.1, 1, 0.01, 0.002} {
+			vals := make([]congest.Word, rt.G.N)
+			for c := range vals {
+				vals[c] = congest.Word(rng.Intn(1000))
+			}
+			value := func(c int) congest.Word { return vals[c] }
+			gotV, err := a.PerVEdge(value, sum, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantV, err := sim.PerVEdge(value, sum, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := a.Net.Stats(), sim.Net.Stats(); got != want || !slices.Equal(gotV, wantV) {
+				t.Fatalf("tree %d call %d: PerVEdge billed %+v, simulated %+v", i, call, got, want)
+			}
+
+			segs := map[int32]bool{}
+			for ve := range oks {
+				oks[ve] = rng.Float64() < share
+				if oks[ve] {
+					for _, sid := range a.segOf[a.segOff[ve]:a.segOff[ve+1]] {
+						segs[sid] = true
+					}
+				}
+			}
+			sizes[len(segs)]++
+			contribute := func(ve int) (congest.Word, bool) { return congest.Word(a.VG.VEdges[ve].W), oks[ve] }
+			gotT, err := a.PerTreeEdge(contribute, sum, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantT, err := sim.PerTreeEdge(contribute, sum, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := a.Net.Stats(), sim.Net.Stats(); got != want || !slices.Equal(gotT, wantT) {
+				t.Fatalf("tree %d call %d: PerTreeEdge with a %d-segment table billed %+v, simulated %+v",
+					i, call, len(segs), got, want)
+			}
+		}
+		// The fixture must do what it is for: several table sizes, some
+		// of them repeated, and every simulated round observed.
+		repeated := 0
+		for _, k := range sizes {
+			if k > 1 {
+				repeated++
+			}
+		}
+		if len(sizes) < 4 || repeated < 2 {
+			t.Errorf("tree %d: calls per table size %v, want at least 4 sizes, 2 of them repeated", i, sizes)
+		}
+		if got, want := obs.rounds, sim.Net.Stats().SimulatedRounds-base; got != want {
+			t.Errorf("tree %d: observed network ran %d rounds, billed %d", i, got, want)
+		}
+	}
+}
+
 // BenchmarkAggregatorFolds times warm PerVEdge (a float sum, as tap's
 // forward phase folds) and PerTreeEdge (a min) on the solve's tree, the
-// MST, of E-table instances. Each op is one call: the engine-simulated
-// global step, the analytic bill and the central fold.
+// MST, of E-table instances. Each op is one call: the global steps, the
+// analytic bill and the central fold. On an unobserved network the
+// broadcast-type global steps are rebilled; the Observed rows run on a
+// network with an Observer armed, as a served solve does, and simulate
+// every call.
 func BenchmarkAggregatorFolds(b *testing.B) {
 	for _, fx := range []struct {
 		fam string
@@ -486,25 +586,33 @@ func BenchmarkAggregatorFolds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := aggregatorOn(b, rt)
+		a, observed := aggregatorOn(b, rt), aggregatorOn(b, rt)
+		observed.Net.Observer = &roundCounter{}
 		value := func(c int) congest.Word { return congest.Word(math.Float64bits(float64(c) + 0.5)) }
 		contribute := func(ve int) (congest.Word, bool) { return congest.Word(a.VG.VEdges[ve].W), ve%3 != 0 }
 		lower := func(x, y congest.Word) congest.Word { return min(x, y) }
-		perVEdge := func(b *testing.B) {
-			if _, err := a.PerVEdge(value, fsumWord, congest.Word(math.Float64bits(0))); err != nil {
-				b.Fatal(err)
+		perVEdge := func(a *Aggregator) func(*testing.B) {
+			return func(b *testing.B) {
+				if _, err := a.PerVEdge(value, fsumWord, congest.Word(math.Float64bits(0))); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-		perTreeEdge := func(b *testing.B) {
-			if _, err := a.PerTreeEdge(contribute, lower, math.MaxInt64); err != nil {
-				b.Fatal(err)
+		perTreeEdge := func(a *Aggregator) func(*testing.B) {
+			return func(b *testing.B) {
+				if _, err := a.PerTreeEdge(contribute, lower, math.MaxInt64); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 		name := fmt.Sprintf("%s/n=%d", fx.fam, fx.n)
 		for _, f := range []struct {
 			name string
 			call func(*testing.B)
-		}{{"PerVEdge", perVEdge}, {"PerTreeEdge", perTreeEdge}} {
+		}{
+			{"PerVEdge", perVEdge(a)}, {"PerTreeEdge", perTreeEdge(a)},
+			{"PerVEdgeObserved", perVEdge(observed)}, {"PerTreeEdgeObserved", perTreeEdge(observed)},
+		} {
 			b.Run(name+"/"+f.name, func(b *testing.B) {
 				f.call(b) // warm
 				b.ReportAllocs()

@@ -105,23 +105,25 @@ func NewAggPlan(g *graph.Graph, part *Partition, sc *Shortcut) *AggPlan {
 	type proto struct{ v, part, parentEdge int32 }
 	var protos []proto
 	var pa partAdj
-	parentEdge := make(map[int32]int32)
+	// In part p's tree, v is reached when reached[v] == p+1, and
+	// parentEdge[v] is then its parent edge (-1 at the leader).
+	parentEdge := make([]int32, g.N)
+	reached := make([]int32, g.N)
 	for p := 0; p < part.Parts; p++ {
 		members := part.Members[p]
 		if len(members) == 0 {
 			continue
 		}
 		pa.build(g, part, sc.EdgesOf[p], p)
-		leader := int32(members[0])
-		clear(parentEdge)
-		parentEdge[leader] = -1
+		leader, mark := int32(members[0]), int32(p+1)
+		reached[leader], parentEdge[leader] = mark, -1
 		order := append(pa.queue[:0], leader)
 		for qi := 0; qi < len(order); qi++ {
 			v := order[qi]
 			for _, id := range pa.row(v) {
 				u := us[id] ^ vs[id] ^ v
-				if _, ok := parentEdge[u]; !ok {
-					parentEdge[u] = id
+				if reached[u] != mark {
+					reached[u], parentEdge[u] = mark, id
 					order = append(order, u)
 				}
 			}
